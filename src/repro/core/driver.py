@@ -31,14 +31,18 @@ so a degraded Level 3 product always states exactly what is absent.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
-from dataclasses import dataclass, field
+import threading
+from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
+from typing import Any, Iterator
 
 import numpy as np
 
 from ..analysis.centers import halo_centers
-from ..faults import RetryPolicy, maybe_inject
+from ..faults import RetryPolicy, get_fault_plan, maybe_inject, resolve_retry
 from ..insitu.algorithms import (
     HaloCenterAlgorithm,
     HaloFinderAlgorithm,
@@ -51,7 +55,8 @@ from ..io.catalog import HaloCatalog, merge_catalogs
 from ..io.genericio import GenericIOFile
 from ..machines.listener import Listener
 from ..machines.staging import StagingArea
-from ..obs import RunTelemetry, get_recorder
+from ..obs import RunTelemetry, TelemetryRecorder, get_recorder, set_recorder
+from ..obs.journal import RunJournal
 from ..sim.hacc import HACCSimulation, SimulationConfig
 from .accounting import FailureRecord
 
@@ -224,190 +229,8 @@ def run_combined_workflow(
     run's duration if telemetry was off.  ``run_id`` names the run
     directory (defaults to the recorder's generated id).
     """
-    if journal_dir is not None:
-        return _run_combined_journaled(
-            config,
-            spool_dir,
-            threshold,
-            linking_length_factor=linking_length_factor,
-            min_count=min_count,
-            n_ranks=n_ranks,
-            coschedule=coschedule,
-            listener_poll=listener_poll,
-            analysis_workers=analysis_workers,
-            retry=retry,
-            journal_dir=journal_dir,
-            run_id=run_id,
-            spmd_transport=spmd_transport,
-            pipeline_insitu=pipeline_insitu,
-            analysis_steps=analysis_steps,
-        )
-    rec = get_recorder()
-    spool_dir = os.fspath(spool_dir)
-    os.makedirs(spool_dir, exist_ok=True)
-    last_step = config.n_steps
-    steps = sorted(set(analysis_steps)) if analysis_steps is not None else [last_step]
-    if last_step not in steps:
-        raise ValueError(
-            f"analysis_steps must include the final step {last_step} "
-            "(its catalog is the run's Level 3 product)"
-        )
-    rec.event(
-        "workflow.start",
-        mode="coscheduled" if coschedule else "simple",
-        threshold=threshold,
-        n_steps=config.n_steps,
-        pipeline_insitu=pipeline_insitu,
-    )
-
-    manager = InSituAnalysisManager()
-    manager.register(
-        HaloFinderAlgorithm(
-            at_steps=steps,
-            linking_length_factor=linking_length_factor,
-            min_count=min_count,
-            n_ranks=n_ranks,
-            transport=spmd_transport,
-        )
-    )
-    manager.register(HaloCenterAlgorithm(at_steps=steps, threshold=threshold))
-    manager.register(Level2WriterAlgorithm(at_steps=steps, output_dir=spool_dir))
-    exec_manager = AsyncInSituManager(manager) if pipeline_insitu else manager
-
-    offline_catalogs: list[tuple[int, HaloCatalog]] = []
-    listener_stats = None
-    completed_steps: set[int] = set()
-
-    def submit(path: str, step: int, script: str) -> None:
-        maybe_inject("offline.job", key=step)
-        offline_catalogs.append((step, offline_center_job(path, workers=analysis_workers)))
-        completed_steps.add(step)
-
-    sim = HACCSimulation(config, analysis_manager=exec_manager)
-
-    if coschedule:
-        listener = Listener(
-            spool_dir, "l2_step*.gio", submit, poll_interval=listener_poll, retry=retry
-        )
-        with rec.span("workflow.sim", coschedule=True):
-            listener.start()
-            try:
-                sim.run()
-            finally:
-                # pipelined analyses must land (Level 2 files written) before
-                # the listener's final poll; close() re-raises their failures
-                try:
-                    if pipeline_insitu:
-                        exec_manager.close()
-                finally:
-                    listener.stop(final_poll=True)
-        listener_stats = listener.stats
-        level2_paths = sorted(listener.seen)
-    else:
-        with rec.span("workflow.sim", coschedule=False):
-            sim.run()
-        if pipeline_insitu:
-            exec_manager.close()
-        listener = Listener(spool_dir, "l2_step*.gio", submit, retry=retry)
-        with rec.span("workflow.offline"):
-            fresh = listener.poll_once()  # one shot after the run ("queued after sim")
-        listener_stats = listener.stats
-        level2_paths = fresh
-
-    ctx = manager.history[last_step]
-    insitu_catalog: HaloCatalog = ctx.store["centers"]["catalog"]
-    offloaded = ctx.store["centers"]["offloaded_halo_tags"]
-    with rec.span("workflow.merge"):
-        # the Level 3 product is single-epoch: only the final step's
-        # off-line catalog merges in (earlier analysis_steps' catalogs
-        # stay reachable through manager.history / the spool)
-        final_offline = [cat for step, cat in offline_catalogs if step == last_step]
-        offline_catalog = (
-            merge_catalogs(*final_offline) if final_offline else HaloCatalog()
-        )
-        merged = merge_catalogs(insitu_catalog, offline_catalog)
-
-    # graceful degradation: snapshots whose off-line job exhausted its
-    # retries are recorded, not raised — the campaign's other legs stand
-    attempts = listener.retry.max_attempts
-    failures = [
-        FailureRecord(
-            stage="offline",
-            key=str(step),
-            reason="off-line center job failed every retry attempt",
-            attempts=attempts,
-        )
-        for step in sorted(_steps_of(level2_paths) - completed_steps)
-    ]
-    if failures:
-        rec.event(
-            "workflow.degraded",
-            level="warning",
-            missing_steps=[f.key for f in failures],
-            jobs_failed=getattr(listener_stats, "jobs_failed", 0),
-        )
-    rec.event(
-        "workflow.done",
-        halos=len(merged),
-        offloaded=len(offloaded),
-        jobs_failed=getattr(listener_stats, "jobs_failed", 0),
-        degraded=bool(failures),
-    )
-    return CombinedRunResult(
-        catalog=merged,
-        insitu_catalog=insitu_catalog,
-        offline_catalog=offline_catalog,
-        offloaded_halo_tags=offloaded,
-        level2_paths=list(level2_paths),
-        listener_stats=listener_stats,
-        telemetry=RunTelemetry.from_recorder(rec),
-        degraded=bool(failures),
-        failures=failures,
-    )
-
-
-def _run_combined_journaled(
-    config: SimulationConfig,
-    spool_dir: str | os.PathLike,
-    threshold: int,
-    *,
-    linking_length_factor: float,
-    min_count: int,
-    n_ranks: int,
-    coschedule: bool,
-    listener_poll: float,
-    analysis_workers: int | None,
-    retry: RetryPolicy | None,
-    journal_dir: str | os.PathLike,
-    run_id: str | None,
-    spmd_transport=None,
-    pipeline_insitu: bool = False,
-    analysis_steps: list[int] | None = None,
-) -> CombinedRunResult:
-    """The durable wrapper around :func:`run_combined_workflow`.
-
-    Opens the run directory + journal, scopes the recorder to the run
-    id, and guarantees the journal's terminal records (failures, final
-    metrics snapshot, ``run.end``) even when the run raises — a crashed
-    run keeps its tail via the journal's ``atexit`` flush.
-    """
-    from dataclasses import asdict
-
-    from ..faults import get_fault_plan, resolve_retry
-    from ..obs import TelemetryRecorder, set_recorder
-    from ..obs.journal import RunJournal
-
-    rec = get_recorder()
-    previous_rec = None
-    if not getattr(rec, "enabled", False):
-        rec = TelemetryRecorder(run_id=run_id)
-        previous_rec = set_recorder(rec)
-    rid = run_id or rec.run_id or "run"
-    plan = get_fault_plan()
-    journal = RunJournal.create(
-        journal_dir,
-        rid,
-        config={
+    manifest = {
+        "config": {
             "workflow": {
                 "kind": "combined",
                 "threshold": threshold,
@@ -422,34 +245,152 @@ def _run_combined_journaled(
             },
             "sim": asdict(config),
         },
-        seeds={"sim": config.seed, "retry": resolve_retry(retry).seed},
-        fault_plan=plan.to_dict() if plan is not None else None,
-    )
-    status = "ok"
-    result: CombinedRunResult | None = None
+        "seeds": {"sim": config.seed, "retry": resolve_retry(retry).seed},
+    }
+    with _journal_scope(journal_dir, run_id, manifest) as outcome:
+        rec = get_recorder()
+        spool_dir = os.fspath(spool_dir)
+        os.makedirs(spool_dir, exist_ok=True)
+        last_step = config.n_steps
+        steps = sorted(set(analysis_steps)) if analysis_steps is not None else [last_step]
+        if last_step not in steps:
+            raise ValueError(
+                f"analysis_steps must include the final step {last_step} "
+                "(its catalog is the run's Level 3 product)"
+            )
+        rec.event(
+            "workflow.start",
+            mode="coscheduled" if coschedule else "simple",
+            threshold=threshold,
+            n_steps=config.n_steps,
+            pipeline_insitu=pipeline_insitu,
+        )
+        manager = _insitu_manager(
+            steps,
+            Level2WriterAlgorithm(at_steps=steps, output_dir=spool_dir),
+            threshold=threshold,
+            linking_length_factor=linking_length_factor,
+            min_count=min_count,
+            n_ranks=n_ranks,
+            transport=spmd_transport,
+        )
+        exec_manager = AsyncInSituManager(manager) if pipeline_insitu else manager
+
+        offline_catalogs: list[tuple[int, HaloCatalog]] = []
+        completed_steps: set[int] = set()
+
+        def submit(path: str, step: int, script: str) -> None:
+            maybe_inject("offline.job", key=step)
+            offline_catalogs.append((step, offline_center_job(path, workers=analysis_workers)))
+            completed_steps.add(step)
+
+        sim = HACCSimulation(config, analysis_manager=exec_manager)
+
+        if coschedule:
+            listener = Listener(
+                spool_dir, "l2_step*.gio", submit, poll_interval=listener_poll, retry=retry
+            )
+            with rec.span("workflow.sim", coschedule=True):
+                listener.start()
+                try:
+                    sim.run()
+                finally:
+                    # pipelined analyses must land (Level 2 files written)
+                    # before the listener's final poll; close() re-raises
+                    # their failures
+                    try:
+                        if pipeline_insitu:
+                            exec_manager.close()
+                    finally:
+                        listener.stop(final_poll=True)
+            level2_paths = sorted(listener.seen)
+        else:
+            with rec.span("workflow.sim", coschedule=False):
+                sim.run()
+            if pipeline_insitu:
+                exec_manager.close()
+            listener = Listener(spool_dir, "l2_step*.gio", submit, retry=retry)
+            with rec.span("workflow.offline"):
+                # one shot after the run ("queued after sim")
+                level2_paths = listener.poll_once()
+
+        # graceful degradation: snapshots whose off-line job exhausted its
+        # retries are recorded, not raised — the campaign's other legs stand
+        jobs_failed = getattr(listener.stats, "jobs_failed", 0)
+        failures = [
+            FailureRecord(
+                stage="offline",
+                key=str(step),
+                reason="off-line center job failed every retry attempt",
+                attempts=listener.retry.max_attempts,
+            )
+            for step in sorted(_steps_of(level2_paths) - completed_steps)
+        ]
+        if failures:
+            rec.event(
+                "workflow.degraded",
+                level="warning",
+                missing_steps=[f.key for f in failures],
+                jobs_failed=jobs_failed,
+            )
+        # the Level 3 product is single-epoch: only the final step's
+        # off-line catalog merges in (earlier analysis_steps' catalogs
+        # stay reachable through manager.history / the spool)
+        outcome.result = _merged_result(
+            rec,
+            manager,
+            last_step,
+            [cat for step, cat in offline_catalogs if step == last_step],
+            {"jobs_failed": jobs_failed, "degraded": bool(failures)},
+            level2_paths=list(level2_paths),
+            listener_stats=listener.stats,
+            degraded=bool(failures),
+            failures=failures,
+        )
+    return outcome.result
+
+
+@contextlib.contextmanager
+def _journal_scope(
+    journal_dir: str | os.PathLike | None, run_id: str | None, manifest: dict[str, Any]
+) -> Iterator[SimpleNamespace]:
+    """Make the enclosed run durable in ``<journal_dir>/<run_id>/``.
+
+    A no-op without ``journal_dir``.  Otherwise it opens the run
+    directory and journal (``manifest`` supplies the config and seeds),
+    installs a live recorder for the run if telemetry was off, scopes it
+    to the run id, and guarantees the journal's terminal records
+    (failures, final metrics snapshot, ``run.end``) even when the run
+    raises — a crashed run keeps its tail via the journal's ``atexit``
+    flush.  The body stores its :class:`CombinedRunResult` on the
+    yielded namespace's ``result``.
+    """
+    outcome = SimpleNamespace(result=None)
+    if journal_dir is None:
+        yield outcome
+        return
+    rec = get_recorder()
+    previous_rec = None
+    if not rec.enabled:
+        rec = TelemetryRecorder(run_id=run_id)
+        previous_rec = set_recorder(rec)
+    rid = run_id or rec.run_id or "run"
+    plan = get_fault_plan()
     try:
+        journal = RunJournal.create(
+            journal_dir,
+            rid,
+            fault_plan=plan.to_dict() if plan is not None else None,
+            **manifest,
+        )
+        status = "error"
         with rec.run_scope(rid):
             rec.attach_journal(journal)
             try:
-                result = run_combined_workflow(
-                    config,
-                    spool_dir,
-                    threshold,
-                    linking_length_factor=linking_length_factor,
-                    min_count=min_count,
-                    n_ranks=n_ranks,
-                    coschedule=coschedule,
-                    listener_poll=listener_poll,
-                    analysis_workers=analysis_workers,
-                    retry=retry,
-                    spmd_transport=spmd_transport,
-                    pipeline_insitu=pipeline_insitu,
-                    analysis_steps=analysis_steps,
-                )
-            except BaseException:
-                status = "error"
-                raise
+                yield outcome
+                status = "ok"
             finally:
+                result = outcome.result
                 for f in result.failures if result is not None else []:
                     journal.failure(dict(f.as_dict(), run=rid))
                 journal.metrics_snapshot(rec.metrics.as_dict(), label="final")
@@ -461,7 +402,45 @@ def _run_combined_journaled(
     finally:
         if previous_rec is not None:
             set_recorder(previous_rec)
-    return result
+
+
+def _insitu_manager(
+    steps: list[int], sink: Any, threshold: int, transport: Any = None, **finder: Any
+) -> InSituAnalysisManager:
+    """The in-situ chain: FOF, then centers, then ``sink`` (Level 2 out)."""
+    manager = InSituAnalysisManager()
+    manager.register(HaloFinderAlgorithm(at_steps=steps, transport=transport, **finder))
+    manager.register(HaloCenterAlgorithm(at_steps=steps, threshold=threshold))
+    manager.register(sink)
+    return manager
+
+
+def _merged_result(
+    rec: Any,
+    manager: InSituAnalysisManager,
+    last_step: int,
+    offline_catalogs: list[HaloCatalog],
+    done_fields: dict[str, Any],
+    **result_fields: Any,
+) -> CombinedRunResult:
+    """Merge the final step's in-situ catalog with its off-line legs."""
+    ctx = manager.history[last_step]
+    insitu_catalog: HaloCatalog = ctx.store["centers"]["catalog"]
+    offloaded = ctx.store["centers"]["offloaded_halo_tags"]
+    with rec.span("workflow.merge"):
+        offline_catalog = (
+            merge_catalogs(*offline_catalogs) if offline_catalogs else HaloCatalog()
+        )
+        merged = merge_catalogs(insitu_catalog, offline_catalog)
+    rec.event("workflow.done", halos=len(merged), offloaded=len(offloaded), **done_fields)
+    return CombinedRunResult(
+        catalog=merged,
+        insitu_catalog=insitu_catalog,
+        offline_catalog=offline_catalog,
+        offloaded_halo_tags=offloaded,
+        telemetry=RunTelemetry.from_recorder(rec),
+        **result_fields,
+    )
 
 
 _STEP_RE = re.compile(r"step(\d+)")
@@ -497,28 +476,22 @@ def run_intransit_workflow(
     Results are identical to :func:`run_combined_workflow` with the same
     parameters (only the transport differs).
     """
-    import threading
-
     rec = get_recorder()
     last_step = config.n_steps
     staging = StagingArea(capacity_bytes=staging_capacity)
     rec.event(
         "workflow.start", mode="intransit", threshold=threshold, n_steps=config.n_steps
     )
-
-    manager = InSituAnalysisManager()
-    manager.register(
-        HaloFinderAlgorithm(
-            at_steps=last_step,
-            linking_length_factor=linking_length_factor,
-            min_count=min_count,
-            n_ranks=n_ranks,
-        )
-    )
-    manager.register(HaloCenterAlgorithm(at_steps=last_step, threshold=threshold))
-    stager = Level2StageAlgorithm(at_steps=last_step)
+    stager = Level2StageAlgorithm(at_steps=[last_step])
     stager.staging = staging
-    manager.register(stager)
+    manager = _insitu_manager(
+        [last_step],
+        stager,
+        threshold=threshold,
+        linking_length_factor=linking_length_factor,
+        min_count=min_count,
+        n_ranks=n_ranks,
+    )
 
     offline_catalogs: list[HaloCatalog] = []
     errors: list[BaseException] = []
@@ -551,23 +524,7 @@ def run_intransit_workflow(
         analysis_thread.join(timeout=600.0)
     if errors:
         raise errors[0]
-
-    ctx = manager.history[last_step]
-    insitu_catalog: HaloCatalog = ctx.store["centers"]["catalog"]
-    offloaded = ctx.store["centers"]["offloaded_halo_tags"]
-    with rec.span("workflow.merge"):
-        offline_catalog = (
-            merge_catalogs(*offline_catalogs) if offline_catalogs else HaloCatalog()
-        )
-        merged = merge_catalogs(insitu_catalog, offline_catalog)
-    rec.event("workflow.done", halos=len(merged), offloaded=len(offloaded))
-    result = CombinedRunResult(
-        catalog=merged,
-        insitu_catalog=insitu_catalog,
-        offline_catalog=offline_catalog,
-        offloaded_halo_tags=offloaded,
-        level2_paths=[],  # nothing on disk: that is the point
-        telemetry=RunTelemetry.from_recorder(rec),
+    # nothing on disk (that is the point): the device carries the stats
+    return _merged_result(
+        rec, manager, last_step, offline_catalogs, {}, level2_paths=[], listener_stats=staging
     )
-    result.listener_stats = staging  # the device carries the run's stats
-    return result

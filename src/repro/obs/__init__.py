@@ -4,7 +4,8 @@ One subsystem for the three observability signals, correlated on a
 single timeline (run / step / rank):
 
 * **events** — structured log records in a thread-safe bounded ring,
-  with an optional JSONL sink (:mod:`repro.obs.events`);
+  with an optional JSONL sink (:mod:`repro.obs.events`, written by the
+  shared :class:`~repro.obs.journal.AppendLog`);
 * **spans** — nested, thread-aware tracing exportable to Chrome
   ``chrome://tracing`` JSON (:mod:`repro.obs.spans`);
 * **metrics** — counters, gauges and fixed-bucket histograms with
@@ -27,8 +28,8 @@ cost one global read when disabled.  Typical use::
 """
 
 from .context import TraceContext, current_trace_context, export_snapshot, merge_snapshot
-from .events import Event, EventLog, JsonlSink, read_jsonl
-from .journal import JournalView, RunJournal, RunManifest, read_journal
+from .events import Event, EventLog
+from .journal import AppendLog, JournalView, RunJournal, RunManifest, read_journal, read_jsonl
 from .live import follow_journal
 from .metrics import (
     DEFAULT_BUCKETS,
@@ -56,6 +57,7 @@ from .timeline import Allocation, MachineTimeline, WorkflowTimeline
 
 __all__ = [
     "Allocation",
+    "AppendLog",
     "Counter",
     "DEFAULT_BUCKETS",
     "Event",
@@ -63,7 +65,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JournalView",
-    "JsonlSink",
     "MachineTimeline",
     "MetricsRegistry",
     "NullRecorder",

@@ -12,33 +12,44 @@ repro stack.  A *run directory* holds exactly two files::
 **Manifest** (:class:`RunManifest`): the run's identity — ``run_id``,
 creation wall time, the workflow configuration and its SHA-256 hash,
 every seed in play, the active fault plan (so a failure is replayable),
-and the code version.  Written atomically (temp file + ``os.replace``)
-so a reader never sees a torn manifest.
+and the code version.  Written by :func:`write_json_atomic` (temp file,
+fsync, ``os.replace``) so a reader never sees a torn manifest.
 
-**Journal** (:class:`RunJournal`): an append-only JSONL stream with
-*atomic line framing*: every record is serialized to one
-newline-terminated line and handed to the OS in a single buffered
-``write`` under a lock, so concurrent writers (the sim loop, the
-listener thread, merged exec-worker telemetry) never interleave within
-a line.  A crash can still tear the *final* line at a buffer boundary —
-that is recovered, never propagated:
+**The append log** (:class:`AppendLog`): the one JSONL writer in the
+tree.  The run journal, the campaign service's ``jobs.jsonl``
+(:mod:`repro.service.store`) and the telemetry recorder's
+``jsonl_path`` sink are all an :class:`AppendLog` with a different
+durability policy.  The log owns the framing: every record gets the
+next ``seq`` as its first key and is serialized to one
+newline-terminated line handed to the OS in a single ``write`` under a
+lock, so concurrent writers (the sim loop, the listener thread, merged
+exec-worker telemetry) never interleave within a line.  Opening a log
+truncates a torn final line away (:func:`recover_tail`) and continues
+``seq`` from the surviving line count; closing flushes and fsyncs.
+Its policies:
 
-* readers (:func:`read_journal`) drop an unterminated tail and flag it
-  (``truncated=True``);
-* re-opening a journal for append (:meth:`RunJournal.open`) truncates
-  the file back to the last complete line first
-  (:func:`recover_tail`).
+=====================  ===================================================
+run journal            flush every ``flush_every`` records (default 32),
+                       fsync on close, flush at interpreter exit
+campaign store         flush and fsync every record
+telemetry sink         flush on close and at interpreter exit
+=====================  ===================================================
 
-Records carry a monotonically increasing ``seq`` and a ``kind``
-discriminator: ``run.start`` / ``event`` / ``span`` / ``metrics`` /
-``failure`` / ``run.end``.  Unknown kinds are preserved by readers, so
-the format is forward-compatible (the campaign service's job store,
-:mod:`repro.service.store`, reuses these idioms — atomic manifest,
-single-``write`` line framing, :func:`recover_tail` — for its own
-``jobs.jsonl`` stream).
+**The reader** (:func:`read_log`): the one JSONL parser, from a byte
+offset (which is how :func:`repro.obs.live.follow_journal` tails a
+live run).  It leaves an unterminated final line unparsed and flags it
+(``truncated``), and reports complete lines that fail to parse instead
+of raising; each caller picks its own damage policy.
+:func:`read_journal` counts them as ``corrupt`` (a torn-looking *final*
+line counts as ``truncated``), so ``tail`` and ``report`` can follow a
+journal that is still being written; the campaign store raises.
 
-The journal registers an ``atexit`` flush so a run that crashes (rather
-than closing cleanly) still keeps its buffered tail on disk.
+Journal records carry a ``kind`` discriminator: ``run.start`` /
+``event`` / ``span`` / ``metrics`` / ``failure`` / ``run.end``.
+Unknown kinds are preserved by readers, so the format is
+forward-compatible.  A run that crashes rather than closing cleanly
+still keeps its buffered tail on disk through the log's ``atexit``
+flush; the missing ``run.end`` marks it incomplete.
 """
 
 from __future__ import annotations
@@ -60,14 +71,19 @@ from .spans import Span
 __all__ = [
     "JOURNAL_FILE",
     "MANIFEST_FILE",
+    "AppendLog",
     "JournalView",
+    "LogContents",
     "RunJournal",
     "RunManifest",
     "config_hash",
     "detect_code_version",
     "find_journal",
     "read_journal",
+    "read_jsonl",
+    "read_log",
     "recover_tail",
+    "write_json_atomic",
 ]
 
 MANIFEST_FILE = "manifest.json"
@@ -110,6 +126,19 @@ def detect_code_version() -> str:
         return f"pkg:{version('repro')}"
     except PackageNotFoundError:  # pragma: no cover - not installed
         return "unknown"
+
+
+def write_json_atomic(path: str | os.PathLike, obj: Any) -> str:
+    """Write ``obj`` as indented JSON: temp file, fsync, ``os.replace``."""
+    path = os.fspath(path)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    return path
 
 
 @dataclass
@@ -156,16 +185,7 @@ class RunManifest:
         )
 
     def save(self, path: str | os.PathLike) -> str:
-        """Atomic write: temp file in the same directory + ``os.replace``."""
-        path = os.fspath(path)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        return path
+        return write_json_atomic(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "RunManifest":
@@ -173,8 +193,11 @@ class RunManifest:
             return cls.from_dict(json.load(fh))
 
 
+# -- the append log ------------------------------------------------------------
+
+
 def recover_tail(path: str | os.PathLike) -> int:
-    """Truncate an append-target journal back to its last complete line.
+    """Truncate an append-target log back to its last complete line.
 
     Returns the number of torn-tail bytes dropped (0 for a clean file).
     """
@@ -200,6 +223,133 @@ def recover_tail(path: str | os.PathLike) -> int:
         return size - keep
 
 
+class AppendLog:
+    """One append-only JSONL file (see the module docstring).
+
+    Opening recovers a torn tail (:attr:`recovered_bytes` says how much)
+    and continues ``seq`` from the surviving non-blank line count.  The
+    durability policy is fixed by the owner: ``sync=True`` flushes and
+    fsyncs every record before :meth:`append` returns; otherwise the
+    buffer reaches the OS every ``flush_every`` records (``0``: only on
+    :meth:`flush`, :meth:`close` and interpreter exit).  Appends after
+    :meth:`close` are ignored and return ``-1``.
+    """
+
+    def __init__(self, path: str | os.PathLike, flush_every: int = 0, sync: bool = False):
+        self.path = os.fspath(path)
+        self.flush_every = flush_every
+        self.sync = sync
+        self.recovered_bytes = recover_tail(self.path)
+        self._seq = 0
+        if os.path.exists(self.path):
+            with open(self.path, "rb") as fh:
+                self._seq = sum(1 for line in fh if line.strip())
+        self._lock = threading.Lock()
+        self._fh = open(self.path, "a", encoding="utf-8")
+        if not sync:
+            atexit.register(self.flush)
+
+    def append(self, record: dict[str, Any]) -> int:
+        """Write one record as ``{"seq": n, **record}``; returns ``n``."""
+        with self._lock:
+            if self._fh.closed:
+                return -1
+            seq = self._seq
+            self._fh.write(json.dumps({"seq": seq, **record}, default=_json_default) + "\n")
+            self._seq += 1
+            if self.sync:
+                self._fh.flush()
+                _fsync(self._fh)
+            elif self.flush_every and self._seq % self.flush_every == 0:
+                self._fh.flush()
+            return seq
+
+    def flush(self) -> None:
+        with self._lock:
+            if not self._fh.closed:
+                self._fh.flush()
+
+    def close(self) -> None:
+        """Flush, fsync and close (idempotent)."""
+        with self._lock:
+            if self._fh.closed:
+                return
+            self._fh.flush()
+            _fsync(self._fh)
+            self._fh.close()
+        if not self.sync:
+            atexit.unregister(self.flush)
+
+    @property
+    def closed(self) -> bool:
+        return self._fh.closed
+
+
+def _fsync(fh: Any) -> None:
+    try:
+        os.fsync(fh.fileno())
+    except OSError:  # pragma: no cover - fs without fsync
+        pass
+
+
+@dataclass
+class LogContents:
+    """One read of an append log: records plus what was damaged."""
+
+    records: list[dict[str, Any]]
+    #: an unterminated final line was left unparsed
+    truncated: bool = False
+    #: newline-terminated lines that failed to parse: line number -> error
+    bad: dict[int, str] = field(default_factory=dict)
+    #: number of newline-terminated lines read (blank ones included)
+    lines: int = 0
+    #: byte offset just past the last complete line (where to resume)
+    end: int = 0
+
+
+def read_log(path: str | os.PathLike, offset: int = 0) -> LogContents:
+    """Parse an append log from byte ``offset``; never raises on damage."""
+    with open(os.fspath(path), "rb") as fh:
+        fh.seek(offset)
+        data = fh.read()
+    lines = data.split(b"\n")
+    tail = lines.pop()  # b"" for a newline-terminated file
+    out = LogContents(
+        records=[],
+        truncated=bool(tail.strip()),
+        lines=len(lines),
+        end=offset + len(data) - len(tail),
+    )
+    for n, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        try:
+            out.records.append(json.loads(raw.decode("utf-8")))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            out.bad[n] = str(exc)
+    return out
+
+
+def read_jsonl(path: str) -> tuple[list[Event], list[dict[str, Any]]]:
+    """Replay a telemetry sink: returns ``(events, span_records)``.
+
+    Span records are returned as plain dicts (see
+    :meth:`repro.obs.spans.Span.to_dict` for their shape).  Unknown
+    kinds are ignored, so the format is forward-compatible; an
+    unparseable line raises :class:`ValueError`.
+    """
+    log = read_log(path)
+    if log.bad:
+        n, err = next(iter(log.bad.items()))
+        raise ValueError(f"{path}: unparseable line {n}: {err}")
+    events = [Event.from_dict(r) for r in log.records if r.get("kind") == "event"]
+    spans = [r for r in log.records if r.get("kind") == "span"]
+    return events, spans
+
+
+# -- the run journal -----------------------------------------------------------
+
+
 class RunJournal:
     """Append-only journal for one run directory.
 
@@ -213,16 +363,10 @@ class RunJournal:
         directory: str | os.PathLike,
         manifest: RunManifest,
         flush_every: int = DEFAULT_FLUSH_EVERY,
-        _seq0: int = 0,
     ):
         self.directory = os.fspath(directory)
         self.manifest = manifest
-        self.flush_every = max(1, int(flush_every))
-        self._lock = threading.Lock()
-        self._seq = int(_seq0)
-        self._writes = 0
-        self._fh = open(self.journal_path, "a", encoding="utf-8")
-        atexit.register(self._atexit_flush)
+        self._log = AppendLog(self.journal_path, flush_every=max(1, int(flush_every)))
 
     # -- construction ----------------------------------------------------------
 
@@ -273,11 +417,7 @@ class RunJournal:
             manifest = RunManifest.load(manifest_path)
         else:
             manifest = RunManifest(run_id=directory.name)
-        journal_path = directory / JOURNAL_FILE
-        recover_tail(journal_path)
-        with open(journal_path, "r", encoding="utf-8") as fh:
-            seq0 = sum(1 for line in fh if line.strip())
-        return cls(directory, manifest, flush_every=flush_every, _seq0=seq0)
+        return cls(directory, manifest, flush_every=flush_every)
 
     # -- paths -----------------------------------------------------------------
 
@@ -294,22 +434,10 @@ class RunJournal:
     def write(self, record: dict[str, Any]) -> int:
         """Append one record (adds ``seq``); returns its sequence number.
 
-        The full line is serialized outside the lock and written with a
-        single ``write`` call inside it — records from concurrent
-        threads never interleave within a line.  Returns ``-1`` if the
-        journal is already closed (late writers during shutdown).
+        Returns ``-1`` if the journal is already closed (late writers
+        during shutdown).
         """
-        with self._lock:
-            if self._fh.closed:
-                return -1
-            seq = self._seq
-            line = json.dumps({"seq": seq, **record}, default=_json_default)
-            self._fh.write(line + "\n")
-            self._seq += 1
-            self._writes += 1
-            if self._writes % self.flush_every == 0:
-                self._fh.flush()
-            return seq
+        return self._log.append(record)
 
     def metrics_snapshot(self, values: dict[str, Any], label: str = "") -> int:
         """Journal a point-in-time metrics snapshot (flat name → value)."""
@@ -323,32 +451,18 @@ class RunJournal:
         return self.write({"kind": "failure", **record})
 
     def flush(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.flush()
-
-    def _atexit_flush(self) -> None:
-        """Crash-path flush: keep the buffered tail when a run never closes."""
-        self.flush()
+        self._log.flush()
 
     def close(self, status: str = "ok", **fields: Any) -> None:
         """Write the terminal ``run.end`` record and close the file."""
         self.write(
             {"kind": "run.end", "run": self.manifest.run_id, "status": status, **fields}
         )
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.flush()
-                try:
-                    os.fsync(self._fh.fileno())
-                except OSError:  # pragma: no cover - fs without fsync
-                    pass
-                self._fh.close()
-        atexit.unregister(self._atexit_flush)
+        self._log.close()
 
     @property
     def closed(self) -> bool:
-        return self._fh.closed
+        return self._log.closed
 
     def __enter__(self) -> "RunJournal":
         return self
@@ -432,38 +546,17 @@ def read_journal(path: str | os.PathLike) -> JournalView:
     Safe against a torn final line: an unterminated or unparseable tail
     is dropped and flagged via ``truncated`` instead of raising, so
     ``tail``/``report`` can follow a journal that is still being
-    written.
+    written.  Unparseable interior lines are counted in ``corrupt``.
     """
     journal_path = find_journal(path)
-    directory = Path(journal_path).parent
-    manifest: RunManifest | None = None
-    manifest_path = directory / MANIFEST_FILE
-    if manifest_path.is_file():
-        manifest = RunManifest.load(manifest_path)
-
-    records: list[dict[str, Any]] = []
-    truncated = False
-    corrupt = 0
-    with open(journal_path, "rb") as fh:
-        data = fh.read()
-    lines = data.split(b"\n")
-    tail = lines.pop()  # b"" for a newline-terminated file
-    if tail.strip():
-        truncated = True  # torn final line: dropped, never parsed
-    for i, raw in enumerate(lines):
-        if not raw.strip():
-            continue
-        try:
-            records.append(json.loads(raw.decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            if i == len(lines) - 1:
-                truncated = True  # final complete-looking line still torn
-            else:
-                corrupt += 1
+    manifest_path = Path(journal_path).parent / MANIFEST_FILE
+    manifest = RunManifest.load(manifest_path) if manifest_path.is_file() else None
+    log = read_log(journal_path)
+    torn_last = log.lines in log.bad  # final complete-looking line still torn
     return JournalView(
         path=journal_path,
         manifest=manifest,
-        records=records,
-        truncated=truncated,
-        corrupt=corrupt,
+        records=log.records,
+        truncated=log.truncated or torn_last,
+        corrupt=len(log.bad) - torn_last,
     )

@@ -10,12 +10,11 @@ on whatever prefix has been flushed so far.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from typing import Any, Iterator
 
-from .journal import find_journal
+from .journal import find_journal, read_log
 
 __all__ = ["follow_journal", "format_record"]
 
@@ -37,35 +36,17 @@ def follow_journal(
     """
     journal_path = find_journal(path)
     deadline = None if max_seconds is None else time.perf_counter() + max_seconds
-    offset = 0
-    if not from_start:
-        offset = os.path.getsize(journal_path)
-    buffer = b""
+    offset = 0 if from_start else os.path.getsize(journal_path)
     while True:
-        size = os.path.getsize(journal_path)
-        if size < offset:  # journal replaced/truncated: restart from top
+        if os.path.getsize(journal_path) < offset:  # replaced/truncated: restart
             offset = 0
-            buffer = b""
-        if size > offset:
-            with open(journal_path, "rb") as fh:
-                fh.seek(offset)
-                chunk = fh.read(size - offset)
-            offset = size
-            buffer += chunk
-            while True:
-                nl = buffer.find(b"\n")
-                if nl < 0:
-                    break  # torn tail: wait for the rest
-                line, buffer = buffer[:nl], buffer[nl + 1 :]
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    continue  # interior corruption: skip, keep following
-                yield record
-                if record.get("kind") == "run.end":
-                    return
+        # interior corruption is skipped (read_log reports it, we keep following)
+        log = read_log(journal_path, offset)
+        offset = log.end
+        for record in log.records:
+            yield record
+            if record.get("kind") == "run.end":
+                return
         if deadline is not None and time.perf_counter() >= deadline:
             return
         time.sleep(poll_interval)

@@ -27,7 +27,8 @@ import uuid
 from typing import Any, Iterator
 
 from .context import TraceContext
-from .events import DEFAULT_CAPACITY, Event, EventLog, JsonlSink
+from .events import DEFAULT_CAPACITY, Event, EventLog
+from .journal import AppendLog
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .spans import Span, Tracer, write_chrome_trace
 
@@ -146,8 +147,8 @@ class TelemetryRecorder:
         if omitted) — the "run" axis of the timeline.
     jsonl_path:
         If given, every event and finished span is appended to this
-        JSONL file as it happens (replayable via
-        :func:`repro.obs.events.read_jsonl`).
+        JSONL file (an :class:`~repro.obs.journal.AppendLog` flushed on
+        close; replayable via :func:`repro.obs.journal.read_jsonl`).
     capacity:
         In-memory ring bound for both events and finished spans.
     """
@@ -164,7 +165,7 @@ class TelemetryRecorder:
         self.events = EventLog(capacity=capacity)
         self.tracer = Tracer(capacity=capacity, run=self.run_id)
         self.metrics = MetricsRegistry()
-        self.sink: JsonlSink | None = JsonlSink(jsonl_path) if jsonl_path else None
+        self.sink: AppendLog | None = AppendLog(jsonl_path) if jsonl_path else None
         #: attached :class:`repro.obs.journal.RunJournal` (durable sink)
         self.journal: Any = None
         self.tracer.on_finish = self._on_span_finish
@@ -203,7 +204,7 @@ class TelemetryRecorder:
     def _on_span_finish(self, span: Span) -> None:
         """Every finished span flows to the JSONL sink and the journal."""
         if self.sink is not None:
-            self.sink.write(span.to_dict())
+            self.sink.append(span.to_dict())
         if self.journal is not None:
             self.journal.write(span.to_dict())
 
@@ -270,7 +271,7 @@ class TelemetryRecorder:
             name, level=level, run=self.run_id, step=step, rank=rank, **fields
         )
         if self.sink is not None:
-            self.sink.write(ev.to_dict())
+            self.sink.append(ev.to_dict())
         if self.journal is not None:
             self.journal.write(ev.to_dict())
         return ev
@@ -279,7 +280,7 @@ class TelemetryRecorder:
         """Adopt a fully-formed event (merged from another process)."""
         self.events.append(event)
         if self.sink is not None:
-            self.sink.write(event.to_dict())
+            self.sink.append(event.to_dict())
         if self.journal is not None:
             self.journal.write(event.to_dict())
         return event

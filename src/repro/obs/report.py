@@ -96,14 +96,15 @@ class PhaseStat:
 
     phase: str
     calls: int = 0
-    total_seconds: float = 0.0  # inclusive (span durations)
+    total_seconds: float = 0.0  # union of the phase's span intervals (<= wall)
     self_seconds: float = 0.0  # exclusive (minus traced children)
     max_seconds: float = 0.0
     names: dict[str, float] = field(default_factory=dict)  # span name -> total
 
     @property
     def mean_seconds(self) -> float:
-        return self.total_seconds / self.calls if self.calls else 0.0
+        """Mean inclusive span duration."""
+        return sum(self.names.values()) / self.calls if self.calls else 0.0
 
 
 class RunTelemetry:
@@ -174,17 +175,26 @@ class RunTelemetry:
         }
 
     def phase_stats(self) -> dict[str, PhaseStat]:
-        """Bucket span time into workflow phases."""
+        """Bucket span time into workflow phases.
+
+        A phase's ``total_seconds`` is the length of the union of its
+        spans' intervals: nested same-phase spans (``sim.run`` around
+        ``sim.step``) and concurrent ones on other threads count once,
+        so no phase total exceeds the traced wall.
+        """
         self_secs = self.self_seconds_by_span()
         stats: dict[str, PhaseStat] = {}
+        intervals: dict[str, list[tuple[float, float]]] = {}
         for s in self.spans:
             phase = phase_of(s.name)
             ps = stats.setdefault(phase, PhaseStat(phase=phase))
             ps.calls += 1
-            ps.total_seconds += s.duration
             ps.self_seconds += self_secs[s.span_id]
             ps.max_seconds = max(ps.max_seconds, s.duration)
             ps.names[s.name] = ps.names.get(s.name, 0.0) + s.duration
+            intervals.setdefault(phase, []).append((s.t0, s.t1))
+        for phase, spans in intervals.items():
+            stats[phase].total_seconds = _union_seconds(spans)
         return stats
 
     @property
@@ -355,6 +365,16 @@ class RunTelemetry:
             "metrics": dict(self.metrics),
             "failures": self.failure_stats(),
         }
+
+
+def _union_seconds(intervals: list[tuple[float, float]]) -> float:
+    """Total length covered by a set of possibly overlapping intervals."""
+    total, end = 0.0, float("-inf")
+    for t0, t1 in sorted(intervals):
+        if t1 > end:
+            total += t1 - max(t0, end)
+            end = t1
+    return total
 
 
 def _render_table(headers: list[str], rows: list[list[str]], title: str = "") -> str:

@@ -5,8 +5,7 @@ from __future__ import annotations
 import json
 import threading
 
-from repro.obs import Event, EventLog, JsonlSink, read_jsonl
-from repro.obs.events import merge_timelines
+from repro.obs import AppendLog, Event, EventLog, read_jsonl
 
 
 def test_emit_stamps_monotonic_and_fields():
@@ -65,29 +64,21 @@ def test_concurrent_emit_is_safe():
 def test_jsonl_sink_replay(tmp_path):
     path = str(tmp_path / "events.jsonl")
     log = EventLog()
-    with JsonlSink(path) as sink:
-        for i in range(5):
-            sink.write(log.emit("tick", i=i).to_dict())
-        sink.write({"kind": "span", "name": "s", "t0": 0.0, "t1": 1.0, "span_id": 1})
-        sink.write({"kind": "mystery"})  # unknown kinds are skipped
+    sink = AppendLog(path)
+    for i in range(5):
+        sink.append(log.emit("tick", i=i).to_dict())
+    sink.append({"kind": "span", "name": "s", "t0": 0.0, "t1": 1.0, "span_id": 1})
+    sink.append({"kind": "mystery"})  # unknown kinds are skipped
+    sink.close()
     events, spans = read_jsonl(path)
     assert [e.fields["i"] for e in events] == [0, 1, 2, 3, 4]
     assert len(spans) == 1 and spans[0]["name"] == "s"
 
 
 def test_jsonl_sink_tolerates_late_writes(tmp_path):
-    sink = JsonlSink(str(tmp_path / "x.jsonl"))
-    sink.write({"kind": "event", "name": "a", "t": 0.0, "wall": 0.0})
+    sink = AppendLog(str(tmp_path / "x.jsonl"))
+    sink.append({"kind": "event", "name": "a", "t": 0.0, "wall": 0.0})
     sink.close()
-    sink.write({"kind": "event", "name": "late", "t": 1.0, "wall": 1.0})  # no raise
+    assert sink.append({"kind": "event", "name": "late", "t": 1.0, "wall": 1.0}) == -1
     events, _ = read_jsonl(str(tmp_path / "x.jsonl"))
     assert [e.name for e in events] == ["a"]
-
-
-def test_merge_timelines_orders_by_monotonic_time():
-    a, b = EventLog(), EventLog()
-    a.emit("1")
-    b.emit("2")
-    a.emit("3")
-    merged = merge_timelines(a.snapshot(), b.snapshot())
-    assert [e.name for e in merged] == ["1", "2", "3"]

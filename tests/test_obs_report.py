@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import threading
 import time
+
+import pytest
 
 from repro import obs
 from repro.obs import NullRecorder, RunTelemetry, TelemetryRecorder
@@ -139,3 +142,42 @@ def test_memory_stats_empty_when_never_sampled():
     with rec.span("sim.step"):
         pass
     assert RunTelemetry.from_recorder(rec).memory_stats() == {}
+
+
+def test_phase_total_counts_nested_same_phase_spans_once():
+    rec = TelemetryRecorder(run_id="nested")
+    with rec.span("sim.run"):
+        with rec.span("sim.step", step=1):
+            with rec.span("sim.force", step=1):
+                time.sleep(0.05)
+    rt = RunTelemetry.from_recorder(rec)
+    sim = rt.phase_stats()["Simulation"]
+    assert sim.calls == 3
+    # three nested spans cover one interval: the total is the wall, not 3x
+    assert sim.total_seconds == pytest.approx(rt.wall_seconds)
+    assert sim.total_seconds <= rt.wall_seconds
+    assert sim.mean_seconds * sim.calls > 2 * sim.total_seconds
+    assert f"{sim.total_seconds:.3f}" in rt.phase_table()
+
+
+def test_phase_total_never_exceeds_wall_with_concurrent_threads():
+    rec = TelemetryRecorder(run_id="threads")
+    barrier = threading.Barrier(2, timeout=10)
+
+    def step(i: int) -> None:
+        barrier.wait()
+        with rec.span("sim.step", step=i):
+            time.sleep(0.05)
+
+    threads = [threading.Thread(target=step, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    rt = RunTelemetry.from_recorder(rec)
+    sim = rt.phase_stats()["Simulation"]
+    assert sim.calls == 2
+    assert sim.total_seconds <= rt.wall_seconds + 1e-9
+    # the two spans overlap, so the union is well short of their sum
+    assert sim.total_seconds < 0.9 * sum(sim.names.values())
