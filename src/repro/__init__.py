@@ -3,8 +3,8 @@
 A full reproduction of "Large-Scale Compute-Intensive Analysis via a
 Combined In-Situ and Co-Scheduling Workflow Approach" (SC '15): a
 mini-HACC cosmological N-body simulation, the CosmoTools in-situ
-analysis framework, portable data-parallel analysis algorithms
-(FOF halo finding, MBP center finding, subhalos, spherical-overdensity
+analysis framework, vectorized analysis algorithms (FOF halo
+finding, MBP center finding, subhalos, spherical-overdensity
 masses, power spectra), a simulated facility layer (Titan / Rhea /
 Moonlight, batch scheduler, co-scheduling listener), and the workflow
 strategies the paper compares.
@@ -23,9 +23,9 @@ Quick start::
 Subpackages
 -----------
 ``repro.sim``          mini-HACC N-body simulation (Level 1 producer)
-``repro.dataparallel`` PISTON-style portable primitives (serial/vector)
 ``repro.parallel``     in-process SPMD substrate (MPI stand-in)
-``repro.analysis``     halo analysis algorithms
+``repro.analysis``     halo analysis algorithms (one blocked MBP center kernel)
+``repro.exec``         multi-process engine behind ``workers=`` (centers, subhalos)
 ``repro.insitu``       CosmoTools framework (InSituAlgorithm/Manager)
 ``repro.io``           GenericIO-style files, data levels, catalogs
 ``repro.machines``     facility simulation (cost model, scheduler, listener)
@@ -38,7 +38,6 @@ __version__ = "1.0.0"
 __all__ = [
     "analysis",
     "core",
-    "dataparallel",
     "insitu",
     "io",
     "machines",

@@ -1,17 +1,14 @@
 """Halo analysis algorithms (the CosmoTools algorithm library).
 
 FOF halo finding (serial k-d tree, vectorized grid, and distributed),
-MBP center finding (brute force on any backend, A*-style search, and
-approximations), SPH density + subhalo finding with unbinding, spherical
+MBP center finding (one blocked brute-force kernel and an A*-style
+search), SPH density + subhalo finding with unbinding, spherical
 overdensity masses, the power spectrum, and the halo mass function.
 """
 
-from .bhtree import BarnesHutTree
 from .centers import (
     CenterStats,
     DEFAULT_SOFTENING,
-    approximate_center_densest_cell,
-    approximate_center_of_mass,
     center_finding_cost,
     group_halo_members,
     halo_centers,
@@ -25,7 +22,6 @@ from .fof import (
     FOFResult,
     fof_grid,
     fof_kdtree,
-    halo_groups,
     parallel_fof,
 )
 from .kdtree import KDTree
@@ -38,11 +34,8 @@ from .subhalos import DEFAULT_MIN_SUBHALO, SubhaloResult, find_subhalos, unbind_
 from .union_find import DisjointSet, GrowableDisjointSet
 
 __all__ = [
-    "BarnesHutTree",
     "CenterStats",
     "DEFAULT_SOFTENING",
-    "approximate_center_densest_cell",
-    "approximate_center_of_mass",
     "center_finding_cost",
     "group_halo_members",
     "halo_centers",
@@ -54,7 +47,6 @@ __all__ = [
     "FOFResult",
     "fof_grid",
     "fof_kdtree",
-    "halo_groups",
     "parallel_fof",
     "KDTree",
     "MassFunction",

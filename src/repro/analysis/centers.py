@@ -11,9 +11,10 @@ particles" — the load imbalance that motivates the combined workflow.
 Implementations:
 
 ``mbp_center_bruteforce``
-    Computes all n² pair terms.  Runs on any data-parallel backend: the
-    ``vector`` backend is the paper's PISTON/GPU path (~50x faster than
-    serial on Titan), ``serial`` the CPU path.
+    Computes all n² pair terms through one blocked vectorized kernel —
+    the stand-in for the paper's PISTON/GPU path (~50x faster than the
+    serial CPU code on Titan).  :func:`potential_reference`, a per-pair
+    Python loop, plays the serial CPU code in tests and benchmarks.
 
 ``mbp_center_astar``
     The serial A*-style search of Ref. [10]: an optimistic (lower-bound)
@@ -22,17 +23,12 @@ Implementations:
     value beats every remaining bound.  The paper reports roughly an 8x
     reduction in work over brute force.
 
-``approximate_center_*``
-    Cheaper, less accurate definitions (center of mass, densest CIC
-    cell).  The paper notes these were tried and rejected on accuracy —
-    kept here for the accuracy-vs-cost ablation.
-
 ``halo_centers``
     Batch driver over a FOF catalog, with per-halo pair-interaction
-    counters used for the cost model and Figure 4.  With ``workers > 1``
-    the batch is dispatched to the :mod:`repro.exec` work-stealing
-    multi-process engine (bit-identical results, cost-model-guided
-    scheduling).
+    counters used for the cost model and Figure 4.  ``workers`` is the
+    only parallelism setting: with ``workers > 1`` the batch is
+    dispatched to the :mod:`repro.exec` work-stealing multi-process
+    engine (bit-identical results, cost-model-guided scheduling).
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..check.sanitize import guard_kernel
-from ..dataparallel import get_backend
 
 __all__ = [
     "DEFAULT_SOFTENING",
@@ -51,8 +46,6 @@ __all__ = [
     "potential_bruteforce",
     "mbp_center_bruteforce",
     "mbp_center_astar",
-    "approximate_center_of_mass",
-    "approximate_center_densest_cell",
     "group_halo_members",
     "halo_centers",
     "center_finding_cost",
@@ -83,12 +76,11 @@ def potential_reference(
 ) -> np.ndarray:
     """Tiny-n pure-Python all-pairs potential (cross-validation only).
 
-    The explicit per-element double loop that used to back the
-    ``serial`` backend path of :func:`potential_bruteforce`.  It is kept
-    solely so tests (and the backend-ratio benchmark, the paper's ~50x
-    GPU-speedup analogue) can cross-validate the blocked vectorized
-    kernel against an independent formulation — never use it on more
-    than a few hundred particles.
+    An explicit per-element double loop, independent of the blocked
+    kernel behind :func:`potential_bruteforce`.  It is kept solely so
+    tests (and the CPU-vs-vector ratio benchmark, the paper's ~50x
+    GPU-speedup analogue) can cross-validate that kernel — never use it
+    on more than a few hundred particles.
     """
     pos = np.atleast_2d(np.asarray(pos, dtype=float))
     n = len(pos)
@@ -119,7 +111,7 @@ def _phi_rows(
     """Potentials of rows ``start:end`` against *all* particles.
 
     The one blocked kernel shared by every execution path — the serial
-    batch driver, the vector backend, and the :mod:`repro.exec` slab
+    batch driver and the :mod:`repro.exec` whole-halo and slab
     subtasks that split a giant halo across workers — so each row's
     potential is a single vectorized sum in a fixed order and results
     stay bit-identical no matter how the rows were scheduled.
@@ -140,20 +132,16 @@ def potential_bruteforce(
     pos: np.ndarray,
     mass: float = 1.0,
     softening: float = DEFAULT_SOFTENING,
-    backend: str | None = None,
     block: int = 2048,
 ) -> np.ndarray:
     """All-pairs potential ``Φ_i = Σ_{j≠i} -m/(d_ij + ε)`` for every particle.
 
     The pair sums are evaluated in row blocks (memory-bounded) through
-    the same vectorized kernel on every backend; ``serial`` and
-    ``vector`` are numerically identical (the historical per-element
-    Python double loop survives as :func:`potential_reference` for
-    cross-validation only).
+    one vectorized kernel (the per-element Python double loop survives
+    as :func:`potential_reference` for cross-validation only).
     """
     pos = np.atleast_2d(np.asarray(pos, dtype=float))
     n = len(pos)
-    get_backend(backend)  # validate the backend name
     if n < 2:
         return np.zeros(n)
 
@@ -169,7 +157,6 @@ def mbp_center_bruteforce(
     pos: np.ndarray,
     mass: float = 1.0,
     softening: float = DEFAULT_SOFTENING,
-    backend: str | None = None,
 ) -> tuple[int, float, CenterStats]:
     """MBP by computing all potentials and taking the minimum.
 
@@ -182,7 +169,7 @@ def mbp_center_bruteforce(
         raise ValueError("empty halo")
     if n == 1:
         return 0, 0.0, stats
-    phi = potential_bruteforce(pos, mass=mass, softening=softening, backend=backend)
+    phi = potential_bruteforce(pos, mass=mass, softening=softening)
     idx = int(np.argmin(phi))
     return idx, float(phi[idx]), stats
 
@@ -339,23 +326,6 @@ def mbp_center_astar(
     return best_idx, best_phi, stats
 
 
-def approximate_center_of_mass(pos: np.ndarray) -> np.ndarray:
-    """Center of mass (fast, inaccurate for asymmetric halos)."""
-    return np.atleast_2d(np.asarray(pos, dtype=float)).mean(axis=0)
-
-
-def approximate_center_densest_cell(pos: np.ndarray, grid_n: int = 16) -> np.ndarray:
-    """Mean position of particles in the densest coarse-grid cell."""
-    pos = np.atleast_2d(np.asarray(pos, dtype=float))
-    lo = pos.min(axis=0)
-    span = np.maximum(pos.max(axis=0) - lo, 1e-12)
-    coords = np.minimum(((pos - lo) / (span / grid_n)).astype(np.intp), grid_n - 1)
-    ids = (coords[:, 0] * grid_n + coords[:, 1]) * grid_n + coords[:, 2]
-    uniq, counts = np.unique(ids, return_counts=True)
-    densest = uniq[np.argmax(counts)]
-    return pos[ids == densest].mean(axis=0)
-
-
 @dataclass
 class HaloCentersResult:
     """Batch center-finding output over a halo catalog."""
@@ -413,7 +383,6 @@ def halo_centers(
     mass: float = 1.0,
     softening: float = DEFAULT_SOFTENING,
     method: str = "bruteforce",
-    backend: str | None = None,
     select_tags: np.ndarray | None = None,
     workers: int | None = None,
 ) -> HaloCentersResult:
@@ -425,7 +394,7 @@ def halo_centers(
         Particle positions, unique tags, and FOF halo labels (label -1 =
         not in a halo).  Typically from :class:`~repro.analysis.fof.FOFResult`.
     method:
-        ``"bruteforce"`` (backend-dispatched) or ``"astar"`` (serial).
+        ``"bruteforce"`` (the blocked kernel) or ``"astar"``.
     select_tags:
         Restrict to these halo tags (the workflow's in-situ/off-line
         split passes the below- or above-threshold subset).
@@ -434,9 +403,7 @@ def halo_centers(
         work-stealing multi-process engine (zero-copy shared-memory
         particle views, LPT scheduling by the ``n(n-1)`` cost model,
         giant halos split into row slabs).  Results are bit-identical
-        to the serial path.  ``None`` (default) runs serially, unless
-        ``backend`` names the ``process`` backend, whose configured
-        worker count is then used.
+        to the serial path.  ``None`` (default) runs serially.
     """
     if method not in ("bruteforce", "astar"):
         raise ValueError(f"unknown method {method!r}")
@@ -444,11 +411,6 @@ def halo_centers(
     tags = np.asarray(tags)
     labels = np.asarray(labels)
 
-    if workers is None:
-        be = get_backend(backend)
-        if be.name == "process":
-            workers = int(getattr(be, "workers", 1))
-            backend = getattr(be, "kernel_backend", "vector")
     if workers is not None and workers > 1:
         from ..exec import parallel_halo_centers
 
@@ -459,7 +421,6 @@ def halo_centers(
             mass=mass,
             softening=softening,
             method=method,
-            backend=backend,
             select_tags=select_tags,
             workers=workers,
         )
@@ -477,9 +438,7 @@ def halo_centers(
         if method == "astar":
             idx, phi, stats = mbp_center_astar(hpos, mass=mass, softening=softening)
         else:
-            idx, phi, stats = mbp_center_bruteforce(
-                hpos, mass=mass, softening=softening, backend=backend
-            )
+            idx, phi, stats = mbp_center_bruteforce(hpos, mass=mass, softening=softening)
         centers[h] = hpos[idx]
         mbp_tags[h] = tags[members[idx]]
         potentials[h] = phi

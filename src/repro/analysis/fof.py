@@ -42,7 +42,7 @@ from ..parallel.overload import overload_destinations
 from .kdtree import KDTree, box_gap_sq, box_span_sq
 from .union_find import DisjointSet
 
-__all__ = ["FOFResult", "fof_kdtree", "fof_grid", "parallel_fof", "halo_groups", "DEFAULT_MIN_COUNT"]
+__all__ = ["FOFResult", "fof_kdtree", "fof_grid", "parallel_fof", "DEFAULT_MIN_COUNT"]
 
 #: Production minimum halo size (paper intro: "billions of halos with 40
 #: particles were found").
@@ -378,20 +378,6 @@ def _fof_brute_periodic(
     graph = coo_matrix(adj)
     _, roots = connected_components(graph, directed=False)
     return _finalize(np.asarray(roots, dtype=np.intp), tags, min_count)
-
-
-def halo_groups(result: FOFResult) -> dict[int, np.ndarray]:
-    """Mapping halo tag -> member particle indices (halos only, no fluff)."""
-    out: dict[int, np.ndarray] = {}
-    order = np.argsort(result.labels, kind="stable")
-    sl = result.labels[order]
-    starts = np.flatnonzero(np.concatenate([[True], sl[1:] != sl[:-1]])) if len(sl) else []
-    bounds = [*starts, len(sl)]
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        tag = sl[s]
-        if tag >= 0:
-            out[int(tag)] = order[s:e]
-    return out
 
 
 # ---------------------------------------------------------------------------

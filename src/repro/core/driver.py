@@ -94,7 +94,6 @@ def centers_from_level2_arrays(
     particle_mass: float = 1.0,
     softening: float = 1.0e-5,
     method: str = "bruteforce",
-    backend: str = "vector",
     workers: int | None = None,
 ) -> HaloCatalog:
     """Find MBP centers for a Level 2 bundle (pos/tag/halo_tag arrays).
@@ -116,7 +115,6 @@ def centers_from_level2_arrays(
         mass=particle_mass,
         softening=softening,
         method=method,
-        backend=backend,
         workers=workers,
     )
     # One O(n log n) pass instead of the former O(halos × particles)
@@ -138,7 +136,6 @@ def offline_center_job(
     particle_mass: float = 1.0,
     softening: float = 1.0e-5,
     method: str = "bruteforce",
-    backend: str = "vector",
     block: int | None = None,
     workers: int | None = None,
 ) -> HaloCatalog:
@@ -163,7 +160,6 @@ def offline_center_job(
             particle_mass=particle_mass,
             softening=softening,
             method=method,
-            backend=backend,
             workers=workers,
         )
     rec.counter("offline_jobs_total").inc()

@@ -77,7 +77,6 @@ def plan_split(
     cost: CostModel,
     machine: MachineSpec,
     analysis_machine: MachineSpec | None = None,
-    backend: str = "gpu",
 ) -> SplitPlan:
     """Apply the paper's automated split rule to a workload.
 
@@ -93,7 +92,7 @@ def plan_split(
         nbytes, profile.n_sim_nodes
     )
 
-    rate = cost.pair_rate(machine, backend)
+    rate = cost.pair_rate(machine)
     # pairs(c) = c(c-1) <= t_io * rate  ->  c = floor of positive root
     m_max_io = int(0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_io * rate)))
     m_max_sim = profile.largest_halo
@@ -115,7 +114,7 @@ def plan_split(
     offload_mask = profile.halo_counts > threshold
     off_counts = profile.halo_counts[offload_mask]
     off_weights = profile.halo_weight[offload_mask]
-    off_rate = cost.pair_rate(analysis_machine, backend)
+    off_rate = cost.pair_rate(analysis_machine)
     off_seconds = center_finding_cost(off_counts) / off_rate
     total = float((off_seconds * off_weights).sum())
     t_max = float(off_seconds.max())

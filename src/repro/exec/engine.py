@@ -210,9 +210,7 @@ def _run_centers_item(
         if method == "astar":
             idx, phi, stats = mbp_center_astar(hpos, mass=mass, softening=softening)
         else:
-            idx, phi, stats = mbp_center_bruteforce(
-                hpos, mass=mass, softening=softening, backend=task.get("backend")
-            )
+            idx, phi, stats = mbp_center_bruteforce(hpos, mass=mass, softening=softening)
         out.append(
             (
                 "halo",
@@ -809,7 +807,6 @@ def parallel_halo_centers(
     mass: float = 1.0,
     softening: float = DEFAULT_SOFTENING,
     method: str = "bruteforce",
-    backend: str | None = None,
     select_tags: np.ndarray | None = None,
     workers: int | None = None,
     engine: ExecutionEngine | None = None,
@@ -835,7 +832,7 @@ def parallel_halo_centers(
     if engine.workers <= 1:
         return halo_centers(
             pos, tags, labels, mass=mass, softening=softening, method=method,
-            backend=backend, select_tags=select_tags, workers=None,
+            select_tags=select_tags, workers=None,
         )
 
     halo_tags, groups = group_halo_members(labels, select_tags=select_tags)
@@ -855,20 +852,7 @@ def parallel_halo_centers(
     starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     work = engine.build_queue(counts, splittable=(method == "bruteforce"))
 
-    from ..dataparallel import get_backend
-
-    kernel_backend = "vector"
-    if backend is not None:
-        resolved = get_backend(backend)
-        if resolved.name != "process":
-            kernel_backend = resolved.name
-    task = {
-        "task": "centers",
-        "method": method,
-        "mass": mass,
-        "softening": softening,
-        "backend": kernel_backend,
-    }
+    task = {"task": "centers", "method": method, "mass": mass, "softening": softening}
     payloads, report = engine.run(
         {"pos": pos, "members": members, "starts": starts}, work, task
     )

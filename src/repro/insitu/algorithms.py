@@ -199,7 +199,6 @@ class HaloCenterAlgorithm(_Scheduled):
     name = "halo_centers"
     threshold: int | None = 300_000
     method: str = "bruteforce"
-    backend: str = "vector"
     softening: float = 1.0e-5
     workers: int | None = None
 
@@ -248,7 +247,6 @@ class HaloCenterAlgorithm(_Scheduled):
                     mass=sim.particles.particle_mass,
                     softening=self.softening,
                     method=self.method,
-                    backend=self.backend,
                     workers=int(self.workers),
                 )
                 row_of = {int(t): i for i, t in enumerate(res.halo_tags)}
@@ -272,7 +270,6 @@ class HaloCenterAlgorithm(_Scheduled):
                         mass=sim.particles.particle_mass,
                         softening=self.softening,
                         method=self.method,
-                        backend=self.backend,
                     )
                     cat_tags.append(halo_tag)
                     cat_counts.append(len(members))

@@ -106,6 +106,12 @@ class InputDeck:
         return SimulationConfig(**kwargs)
 
 
+def _declared_parameters(cls: type) -> set[str]:
+    """Parameters an algorithm class declares: its annotated attributes."""
+    names = {key for klass in cls.__mro__ for key in vars(klass).get("__annotations__", {})}
+    return names - {"name"}
+
+
 @dataclass
 class CosmoToolsConfig:
     """Sectioned CosmoTools configuration: one section per analysis tool."""
@@ -157,7 +163,9 @@ class CosmoToolsConfig:
 
         Each enabled section name must match a registered concrete
         algorithm in :mod:`repro.insitu.algorithms`; the section's keys
-        (minus ``enabled``) become the algorithm's parameters.
+        (minus ``enabled``) become the algorithm's parameters.  A key the
+        algorithm does not declare raises :class:`ValueError` — a typo
+        such as ``threshhold`` would otherwise leave the default in force.
         """
         from .algorithms import ALGORITHM_REGISTRY
         from .manager import InSituAnalysisManager
@@ -168,6 +176,14 @@ class CosmoToolsConfig:
                 raise KeyError(
                     f"unknown analysis tool {name!r}; known: {sorted(ALGORITHM_REGISTRY)}"
                 )
+            cls = ALGORITHM_REGISTRY[name]
             params = {k: v for k, v in self.sections[name].items() if k != "enabled"}
-            manager.register(ALGORITHM_REGISTRY[name](**params))
+            known = _declared_parameters(cls)
+            unknown = sorted(set(params) - known)
+            if unknown:
+                raise ValueError(
+                    f"[{name}]: unknown parameter(s) {', '.join(unknown)}; "
+                    f"known: {', '.join(sorted(known))}"
+                )
+            manager.register(cls(**params))
         return manager

@@ -33,7 +33,7 @@ from ..obs import get_recorder
 from .cosmology import Cosmology, QCONTINUUM_COSMOLOGY, a_of_z, z_of_a
 from .initial_conditions import ICConfig, make_initial_conditions
 from .particles import Particles
-from .pm import cic_interpolate, cic_deposit, gradient_spectral, solve_poisson
+from .pm import pm_accelerations
 from .pmsolver import get_solver
 
 __all__ = ["SimulationConfig", "StepRecord", "HACCSimulation"]
@@ -178,7 +178,6 @@ class HACCSimulation:
         return self.particles.pos / self._cell
 
     def _compute_accelerations(self, a: float) -> np.ndarray:
-        ng = self.config.mesh_size
         pos_grid = self.grid_positions
         factor = self.cosmo.poisson_factor(a)
         if self.config.pm_backend == "fused":
@@ -186,10 +185,9 @@ class HACCSimulation:
             # geometry shared by scatter and gather
             accel = self.pm.accelerations(pos_grid, factor)
         else:
-            delta = cic_deposit(pos_grid, ng)
-            phi = solve_poisson(delta, factor=factor)
-            grad = gradient_spectral(phi)
-            accel = -cic_interpolate(grad, pos_grid)
+            accel = pm_accelerations(
+                pos_grid, self.config.mesh_size, factor, method="reference"
+            )
         # mesh acceleration (grid units) -> box units: one factor of cell
         return accel * self._cell
 

@@ -1,11 +1,9 @@
-"""MBP center finding: correctness across methods and backends."""
+"""MBP center finding: correctness across methods."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
-    approximate_center_densest_cell,
-    approximate_center_of_mass,
     center_finding_cost,
     halo_centers,
     mbp_center_astar,
@@ -14,36 +12,29 @@ from repro.analysis import (
 )
 
 
-def test_potential_serial_vector_agree(plummer_halo):
-    pos = plummer_halo[:200]
-    a = potential_bruteforce(pos, backend="serial")
-    b = potential_bruteforce(pos, backend="vector")
-    assert np.allclose(a, b, rtol=1e-10)
-
-
 def test_potential_two_particles_symmetric():
     pos = np.asarray([[0.0, 0, 0], [1.0, 0, 0]])
-    phi = potential_bruteforce(pos, mass=2.0, softening=0.0, backend="vector")
+    phi = potential_bruteforce(pos, mass=2.0, softening=0.0)
     assert phi[0] == pytest.approx(phi[1]) == pytest.approx(-2.0)
 
 
 def test_potential_excludes_self_term():
     pos = np.asarray([[0.0, 0, 0], [10.0, 0, 0]])
-    phi = potential_bruteforce(pos, softening=1e-5, backend="vector")
+    phi = potential_bruteforce(pos, softening=1e-5)
     # without self-exclusion phi would be ~ -1e5
     assert phi[0] == pytest.approx(-1.0 / 10.0, rel=1e-3)
 
 
 def test_potential_blocked_matches_unblocked(plummer_halo):
     pos = plummer_halo[:500]
-    a = potential_bruteforce(pos, backend="vector", block=64)
-    b = potential_bruteforce(pos, backend="vector", block=100000)
+    a = potential_bruteforce(pos, block=64)
+    b = potential_bruteforce(pos, block=100000)
     assert np.allclose(a, b)
 
 
 def test_mbp_bruteforce_finds_deepest(plummer_halo):
-    idx, phi, stats = mbp_center_bruteforce(plummer_halo, backend="vector")
-    full = potential_bruteforce(plummer_halo, backend="vector")
+    idx, phi, stats = mbp_center_bruteforce(plummer_halo)
+    full = potential_bruteforce(plummer_halo)
     assert idx == int(np.argmin(full))
     assert phi == pytest.approx(full.min())
     assert stats.pair_evaluations == len(plummer_halo) * (len(plummer_halo) - 1)
@@ -51,12 +42,12 @@ def test_mbp_bruteforce_finds_deepest(plummer_halo):
 
 def test_mbp_center_near_density_peak(plummer_halo):
     """The MBP of a Plummer sphere lies near the profile center (10,10,10)."""
-    idx, _, _ = mbp_center_bruteforce(plummer_halo, backend="vector")
+    idx, _, _ = mbp_center_bruteforce(plummer_halo)
     assert np.linalg.norm(plummer_halo[idx] - 10.0) < 0.5
 
 
 def test_mbp_astar_matches_bruteforce(plummer_halo):
-    i_b, phi_b, _ = mbp_center_bruteforce(plummer_halo, backend="vector")
+    i_b, phi_b, _ = mbp_center_bruteforce(plummer_halo)
     i_a, phi_a, stats = mbp_center_astar(plummer_halo)
     assert i_a == i_b
     assert phi_a == pytest.approx(phi_b, rel=1e-10)
@@ -78,13 +69,6 @@ def test_mbp_singleton_and_empty():
         mbp_center_bruteforce(np.empty((0, 3)))
     with pytest.raises(ValueError):
         mbp_center_astar(np.empty((0, 3)))
-
-
-def test_approximate_centers_close_but_not_exact(plummer_halo):
-    com = approximate_center_of_mass(plummer_halo)
-    dc = approximate_center_densest_cell(plummer_halo)
-    assert np.linalg.norm(com - 10.0) < 1.0
-    assert np.linalg.norm(dc - 10.0) < 1.0
 
 
 def test_halo_centers_batch(rng):
@@ -141,6 +125,6 @@ def test_center_finding_cost_quadratic():
 
 def test_softening_prevents_singularity():
     pos = np.zeros((2, 3))  # coincident particles
-    phi = potential_bruteforce(pos, softening=1e-3, backend="vector")
+    phi = potential_bruteforce(pos, softening=1e-3)
     assert np.all(np.isfinite(phi))
     assert phi[0] == pytest.approx(-1000.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import fof_grid, fof_kdtree, halo_groups, parallel_fof
+from repro.analysis import fof_grid, fof_kdtree, group_halo_members, parallel_fof
 from repro.analysis.fof import _fof_brute_periodic
 from repro.parallel import CartesianDecomposition, run_spmd
 
@@ -78,9 +78,15 @@ def test_empty_input():
     assert len(r.labels) == 0
 
 
+def _groups(result):
+    """Halo tag -> member particle indices, via ``group_halo_members``."""
+    halo_tags, members = group_halo_members(result.labels)
+    return dict(zip(halo_tags.tolist(), members))
+
+
 def test_halo_groups_mapping(blob_points):
     r = fof_grid(blob_points, 0.2, min_count=10)
-    groups = halo_groups(r)
+    groups = _groups(r)
     assert set(groups) == set(int(t) for t in r.halo_tags)
     for tag, idx in groups.items():
         assert np.all(r.labels[idx] == tag)
@@ -123,7 +129,7 @@ def test_parallel_matches_serial(blob_points, local_finder, nranks):
             parallel_halos[tag] = members
 
     serial = fof_grid(blob_points, 0.2, tags=tags, min_count=10, box=box)
-    groups = halo_groups(serial)
+    groups = _groups(serial)
     assert set(parallel_halos) == set(groups)
     for tag, idx in groups.items():
         assert np.array_equal(np.sort(tags[idx]), parallel_halos[tag])
@@ -179,7 +185,7 @@ def test_parallel_halo_straddling_box_boundary():
     results = run_spmd(8, prog)
     found = {t: m for r in results for t, m in r.items()}
     serial = fof_grid(pos, 0.4, tags=tags, min_count=10, box=box)
-    groups = halo_groups(serial)
+    groups = _groups(serial)
     assert set(found) == set(groups)
     for tag, idx in groups.items():
         assert np.array_equal(np.sort(tags[idx]), found[tag])

@@ -23,7 +23,6 @@ from repro.analysis import (
 )
 from repro.analysis.centers import center_finding_cost
 from repro.analysis.subhalos import find_subhalos
-from repro.dataparallel import ProcessBackend, available_backends, get_backend
 from repro.exec import (
     ExecutionEngine,
     HaloWorkQueue,
@@ -287,27 +286,8 @@ def test_parallel_subhalos_bit_identical():
 
 
 # ---------------------------------------------------------------------------
-# backend registration and dispatch
+# worker-count dispatch
 # ---------------------------------------------------------------------------
-
-
-def test_process_backend_registered():
-    assert "process" in available_backends()
-    be = get_backend("process")
-    assert isinstance(be, ProcessBackend)
-    assert be.workers >= 1
-    assert be.kernel_backend == "vector"
-    # primitives still behave like the vector backend
-    assert np.array_equal(be.gather(np.asarray([2, 0]), np.asarray([10, 20, 30])), [30, 10])
-
-
-def test_halo_centers_process_backend_dispatch(skewed_catalog):
-    pos, tags, labels = skewed_catalog
-    serial = halo_centers(pos, tags, labels)
-    res = halo_centers(pos, tags, labels, backend=ProcessBackend(workers=2))
-    assert np.array_equal(serial.mbp_tags, res.mbp_tags)
-    assert np.array_equal(serial.potentials, res.potentials)
-    assert res.exec_report is not None and res.exec_report.workers == 2
 
 
 def test_halo_centers_workers_one_stays_serial(skewed_catalog):

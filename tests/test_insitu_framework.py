@@ -214,6 +214,15 @@ def test_build_manager_from_config():
     assert mgr.get("halo_centers").threshold == 100
 
 
+@pytest.mark.parametrize("key", ["threshhold", "backend"])
+def test_build_manager_rejects_unknown_key(key):
+    """A misspelt or retired key must not silently leave the default."""
+    cfg = CosmoToolsConfig.from_text(f"[halo_centers]\nthreshold = 100\n{key} = 5")
+    with pytest.raises(ValueError, match=rf"\[halo_centers\].*{key}") as err:
+        cfg.build_manager()
+    assert "known: at_steps, every, method, softening, threshold, workers" in str(err.value)
+
+
 def test_build_manager_unknown_tool():
     cfg = CosmoToolsConfig.from_text("[frobnicator]\nx = 1")
     with pytest.raises(KeyError, match="unknown analysis tool"):
