@@ -68,7 +68,7 @@ _THREAD_STARTERS = (
 _FORK_TAILS = (
     ("Process",),
     ("WorkerPool",),
-    ("run_process_spmd",),
+    ("run_ranks",),
     ("Pool",),
 )
 

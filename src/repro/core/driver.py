@@ -195,8 +195,7 @@ def run_combined_workflow(
     cores actually used).
 
     ``spmd_transport`` selects the halo finder's SPMD substrate
-    (``"thread"``, ``"process"``, or a
-    :class:`~repro.parallel.transport.SpmdConfig`); ``"process"`` forks
+    (``"thread"`` or ``"process"``); ``"process"`` forks
     one OS process per analysis rank for real multi-core FOF.
     ``pipeline_insitu=True`` runs the in-situ chain on a snapshot buffer
     concurrently with the next simulation steps

@@ -53,7 +53,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 __all__ = [
@@ -281,13 +281,6 @@ class FaultPlan:
     def fresh(self) -> "FaultPlan":
         """A stateless copy with the same seed and specs (same verdicts)."""
         return FaultPlan(seed=self.seed, sites=dict(self.sites))
-
-    def with_site(self, site: str, **spec_kwargs: Any) -> "FaultPlan":
-        """A copy (stateless) with one site's spec added or replaced."""
-        sites = dict(self.sites)
-        base = sites.get(site, FaultSpec())
-        sites[site] = replace(base, **spec_kwargs)
-        return FaultPlan(seed=self.seed, sites=sites)
 
     # -- (de)serialization -----------------------------------------------------
 

@@ -114,9 +114,8 @@ class HaloFinderAlgorithm(_Scheduled):
         maximum halo extent over the linking length.
     transport:
         SPMD transport for the rank programs: ``"thread"`` (default,
-        deterministic reference), ``"process"`` (one forked OS process
-        per rank — real multi-core parallelism), or a full
-        :class:`~repro.parallel.transport.SpmdConfig`.  Both produce
+        deterministic reference) or ``"process"`` (one forked OS process
+        per rank — real multi-core parallelism).  Both produce
         bit-identical catalogs.
 
     Stores under ``"fof"``: ``halos`` (halo tag -> member particle
@@ -131,7 +130,7 @@ class HaloFinderAlgorithm(_Scheduled):
     n_ranks: int = 8
     overload_factor: float = 8.0
     local_finder: str = "grid"
-    transport: Any = None
+    transport: str | None = None
 
     def execute(self, sim: Any, context: AnalysisContext) -> None:
         box = sim.config.box

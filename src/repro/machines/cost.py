@@ -119,15 +119,6 @@ class CostModel:
 
     # -- calibration helpers ---------------------------------------------------
 
-    def with_anchor_center_small(
-        self, pairs_small_per_node: float, seconds: float, machine: MachineSpec
-    ) -> "CostModel":
-        """Recalibrate ``pair_rate_gpu`` so the given per-node small-halo
-        workload takes ``seconds`` on ``machine`` (e.g. the paper's "just
-        over one minute" anchor)."""
-        rate = pairs_small_per_node / seconds / machine.gpu_factor
-        return replace(self, pair_rate_gpu=rate)
-
     def with_anchor_fof(self, particles_per_node: float, seconds: float) -> "CostModel":
         """Recalibrate ``fof_rate`` against a measured find time."""
         return replace(self, fof_rate=particles_per_node / seconds)

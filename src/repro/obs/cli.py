@@ -34,7 +34,7 @@ import re
 import sys
 from typing import Any
 
-from .events import Event, _json_default
+from .events import _json_default
 from .journal import JournalView, read_journal
 from .live import follow_journal, format_record
 from .report import RunTelemetry
@@ -124,25 +124,6 @@ def canonical_spans(spans: list[Span]) -> list[dict[str, Any]]:
     return out
 
 
-def canonical_events(events: list[Event]) -> list[dict[str, Any]]:
-    """Timing-free event projection (sorted multiset of records)."""
-    out = []
-    for e in events:
-        if e.name in RACY_NAMES:
-            continue
-        out.append(
-            {
-                "name": e.name,
-                "level": e.level,
-                "step": e.step,
-                "rank": e.rank,
-                "fields": _canonical_fields(e.fields),
-            }
-        )
-    out.sort(key=lambda d: json.dumps(d, sort_keys=True, default=_json_default))
-    return out
-
-
 def canonical_counters(metrics: dict[str, float]) -> dict[str, float]:
     """Count-valued metrics only (``*_total``/``*_count``), races dropped."""
     return {
@@ -158,12 +139,7 @@ def canonical_counters(metrics: dict[str, float]) -> dict[str, float]:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     view = read_journal(args.journal)
-    rt = RunTelemetry(
-        spans=view.spans(),
-        events=view.events(),
-        metrics=view.last_metrics(),
-        run_id=view.run_id,
-    )
+    rt = RunTelemetry.from_journal(view)
     if args.canonical:
         payload = {
             "run": view.run_id,
@@ -339,9 +315,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             json.dump(trace, fh, sort_keys=True, default=_json_default)
         print(f"wrote {args.output} ({len(spans)} spans, canonical)")
         return 0
-    rt = RunTelemetry(
-        spans=view.spans(), events=view.events(), run_id=view.run_id
-    )
+    rt = RunTelemetry.from_journal(view)
     rt.write_chrome_trace(args.output)
     print(f"wrote {args.output} ({len(rt.spans)} spans, {len(rt.events)} events)")
     return 0

@@ -16,11 +16,16 @@ double-counting ``sim.step`` around ``insitu.*``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from .events import Event
 from .spans import Span, write_chrome_trace
+from .timeline import merge_intervals
+
+if TYPE_CHECKING:
+    from .journal import JournalView
 
 __all__ = [
     "PhaseStat",
@@ -135,17 +140,18 @@ class RunTelemetry:
         )
 
     @classmethod
-    def from_journal(cls, path: str) -> "RunTelemetry":
+    def from_journal(cls, source: "str | os.PathLike[str] | JournalView") -> "RunTelemetry":
         """Rebuild a run's telemetry from its durable journal.
 
         The offline twin of :meth:`from_recorder`: reads the journal
-        (tolerating a torn tail on live/crashed runs) and reconstructs
-        the same spans/events/metrics view, so ``report``/``trace`` work
-        long after — or while — the producing process runs.
+        (tolerating a torn tail on live/crashed runs), or takes one
+        already read, and reconstructs the same spans/events/metrics
+        view, so ``report``/``trace`` work long after — or while — the
+        producing process runs.
         """
         from .journal import read_journal  # local import: journal imports events/spans
 
-        view = read_journal(path)
+        view = read_journal(source) if isinstance(source, (str, os.PathLike)) else source
         return cls(
             spans=view.spans(),
             events=view.events(),
@@ -194,7 +200,7 @@ class RunTelemetry:
             ps.names[s.name] = ps.names.get(s.name, 0.0) + s.duration
             intervals.setdefault(phase, []).append((s.t0, s.t1))
         for phase, spans in intervals.items():
-            stats[phase].total_seconds = _union_seconds(spans)
+            stats[phase].total_seconds = sum(t1 - t0 for t0, t1 in merge_intervals(spans))
         return stats
 
     @property
@@ -365,16 +371,6 @@ class RunTelemetry:
             "metrics": dict(self.metrics),
             "failures": self.failure_stats(),
         }
-
-
-def _union_seconds(intervals: list[tuple[float, float]]) -> float:
-    """Total length covered by a set of possibly overlapping intervals."""
-    total, end = 0.0, float("-inf")
-    for t0, t1 in sorted(intervals):
-        if t1 > end:
-            total += t1 - max(t0, end)
-            end = t1
-    return total
 
 
 def _render_table(headers: list[str], rows: list[list[str]], title: str = "") -> str:

@@ -8,12 +8,11 @@ in-process communicator with mpi4py-compatible semantics: point-to-point
 ``allreduce``, ``alltoall``, ``reduce``).
 
 An SPMD program is a function ``fn(comm, *args)``; :func:`run_spmd`
-executes it over a pluggable *transport* (``transport="thread"`` or
-``"process"``, see :mod:`repro.parallel.transport`).  The thread
-transport runs one OS thread per rank against a shared :class:`World`
-and is the deterministic reference; the process transport forks one OS
-process per rank over shared-memory queues for real multi-core
-parallelism.  Both move logically identical payloads, so rank programs
+executes it with one thread per rank (``transport="thread"``, the
+deterministic reference) or one forked OS process per rank
+(``transport="process"``, real multi-core parallelism).  Both run the
+same rank body over the same world and differ only in the transport
+table underneath (:mod:`repro.parallel.transport`), so rank programs
 produce bit-for-bit the same results on either.
 
 Messages are deep-ish copies (NumPy arrays are copied; process hops
@@ -21,29 +20,21 @@ copy by construction) so that ranks cannot accidentally share mutable
 state through the transport, mirroring distributed-memory semantics.
 
 :class:`Communicator` talks to its world through a narrow interface —
-``deliver`` / ``poll`` / ``barrier_wait`` / ``aborted`` — which is what
-makes the transports swappable.
+``deliver`` / ``poll`` / ``barrier_wait`` / ``aborted``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import queue
-import threading
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .transport import SpmdConfig
 
 __all__ = [
     "CollectiveProtocolError",
     "Communicator",
     "SpmdError",
-    "World",
     "run_spmd",
 ]
 
@@ -68,118 +59,20 @@ class CollectiveProtocolError(SpmdError):
     """
 
 
+def _walk(obj: Any, leaf: Callable[[Any], Any]) -> Any:
+    """Rebuild ``obj``'s tuple/list/dict nesting with ``leaf`` applied to the rest."""
+    if isinstance(obj, tuple):
+        return tuple(_walk(x, leaf) for x in obj)
+    if isinstance(obj, list):
+        return [_walk(x, leaf) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _walk(v, leaf) for k, v in obj.items()}
+    return leaf(obj)
+
+
 def _isolate(obj: Any) -> Any:
     """Copy mutable payloads so ranks do not share memory through messages."""
-    if isinstance(obj, np.ndarray):
-        return obj.copy()
-    if isinstance(obj, tuple):
-        return tuple(_isolate(x) for x in obj)
-    if isinstance(obj, list):
-        return [_isolate(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _isolate(v) for k, v in obj.items()}
-    return obj
-
-
-@dataclass
-class _Mailbox:
-    """Per-rank incoming message store with (source, tag) matching."""
-
-    inbox: "queue.Queue[tuple[int, int, Any]]" = field(default_factory=queue.Queue)
-    pending: list[tuple[int, int, Any]] = field(default_factory=list)
-
-    def match(self, source: int, tag: int, timeout: float) -> tuple[int, int, Any]:
-        for i, (src, tg, _payload) in enumerate(self.pending):
-            if (source in (ANY_SOURCE, src)) and (tag in (ANY_TAG, tg)):
-                return self.pending.pop(i)
-        while True:
-            try:
-                msg = self.inbox.get(timeout=timeout)
-            except queue.Empty:
-                raise SpmdError(
-                    f"recv(source={source}, tag={tag}) timed out after {timeout}s "
-                    "— likely SPMD deadlock"
-                ) from None
-            src, tg, _ = msg
-            if (source in (ANY_SOURCE, src)) and (tag in (ANY_TAG, tg)):
-                return msg
-            self.pending.append(msg)
-
-
-class World:
-    """Shared state backing one thread-transport SPMD execution.
-
-    Holds the per-rank mailboxes and the barrier, accumulates transport
-    statistics (message counts and payload bytes) that the machine cost
-    model uses to charge communication time, and implements the narrow
-    transport interface (``deliver`` / ``poll`` / ``barrier_wait`` /
-    ``aborted``) the :class:`Communicator` is written against.
-    """
-
-    def __init__(self, size: int, timeout: float = DEFAULT_TIMEOUT) -> None:
-        if size < 1:
-            raise ValueError("world size must be >= 1")
-        self.size = size
-        self.timeout = timeout
-        self.mailboxes = [_Mailbox() for _ in range(size)]
-        self.barrier_obj = threading.Barrier(size)
-        self.abort = threading.Event()
-        self.failure: tuple[int, BaseException] | None = None
-        self._stats_lock = threading.Lock()
-        self.messages_sent = 0
-        self.bytes_sent = 0
-
-    def record(self, payload: Any) -> None:
-        nbytes = _payload_bytes(payload)
-        with self._stats_lock:
-            self.messages_sent += 1
-            self.bytes_sent += nbytes
-
-    # -- narrow transport interface (shared with _ProcessRankWorld) -----
-
-    def aborted(self) -> str | None:
-        """Abort reason if the world is dead, else ``None``."""
-        if not self.abort.is_set():
-            return None
-        if self.failure is not None:
-            rank, exc = self.failure
-            return f"world aborted (rank {rank} raised {type(exc).__name__})"
-        return "world aborted"
-
-    def fail(self, rank: int, exc: BaseException) -> None:
-        """Mark the world dead because ``rank`` raised ``exc``."""
-        with self._stats_lock:
-            if self.failure is None:
-                self.failure = (rank, exc)
-        self.abort.set()
-        self.barrier_obj.abort()
-
-    def deliver(self, dest: int, source: int, tag: int, obj: Any) -> None:
-        """Isolate ``obj`` and enqueue it on ``dest``'s mailbox."""
-        payload = _isolate(obj)
-        self.record(payload)
-        self.mailboxes[dest].inbox.put((source, tag, payload))
-
-    def poll(self, rank: int, source: int, tag: int, step: float) -> Any:
-        """One bounded matching attempt on ``rank``'s mailbox."""
-        _, _, payload = self.mailboxes[rank].match(source, tag, step)
-        return payload
-
-    def barrier_wait(self) -> None:
-        """Enter the world barrier; name the culprit if it breaks."""
-        try:
-            self.barrier_obj.wait(timeout=self.timeout)
-        except threading.BrokenBarrierError:
-            failure = self.failure
-            if failure is not None:
-                rank, exc = failure
-                raise SpmdError(
-                    f"barrier broken: rank {rank} raised "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            raise SpmdError(
-                f"barrier broken (a rank died or timed out after {self.timeout}s)"
-            ) from None
+    return _walk(obj, lambda x: x.copy() if isinstance(x, np.ndarray) else x)
 
 
 def _shape_sig(obj: Any, depth: int = 0) -> str:
@@ -253,24 +146,11 @@ def _protocol_verdict(
     )
 
 
-def _payload_bytes(obj: Any) -> int:
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, (tuple, list)):
-        return sum(_payload_bytes(x) for x in obj)
-    if isinstance(obj, dict):
-        return sum(_payload_bytes(v) for v in obj.values())
-    if isinstance(obj, (bytes, bytearray)):
-        return len(obj)
-    return 8  # nominal scalar size
-
-
 class Communicator:
     """Rank-local handle to a world (mpi4py-flavoured API).
 
-    ``world`` is any transport implementing the narrow interface:
-    the thread :class:`World` here, or the process-backed rank world in
-    :mod:`repro.parallel.transport`.
+    ``world`` implements the narrow interface (``deliver`` / ``poll`` /
+    ``barrier_wait`` / ``aborted``, plus ``size`` and ``timeout``).
     """
 
     def __init__(self, world: Any, rank: int) -> None:
@@ -324,11 +204,11 @@ class Communicator:
         """Block until every rank has entered the barrier.
 
         If the barrier breaks, the raised :class:`SpmdError` names the
-        rank that died or timed out and (thread transport) chains the
-        originating exception.  With ``REPRO_SANITIZE=1`` the barrier is
-        also the protocol checkpoint: ranks cross-check their hashed
-        collective sequences here and fail fast, naming the diverging
-        rank, instead of deadlocking later.
+        rank that died or failed, or says that a rank timed out.  With
+        ``REPRO_SANITIZE=1`` the barrier is also the protocol
+        checkpoint: ranks cross-check their hashed collective sequences
+        here and fail fast, naming the diverging rank, instead of
+        deadlocking later.
         """
         if self._protocol is not None:
             self._protocol.record("barrier")
@@ -465,70 +345,29 @@ def run_spmd(
     fn: Callable[..., Any],
     *args: Any,
     timeout: float = DEFAULT_TIMEOUT,
-    return_world: bool = False,
-    transport: "str | SpmdConfig | None" = None,
+    transport: str | None = None,
     **kwargs: Any,
-) -> list[Any] | tuple[list[Any], Any]:
+) -> list[Any]:
     """Execute ``fn(comm, *args, **kwargs)`` on ``nranks`` concurrent ranks.
 
     Returns the list of per-rank return values (rank order).  If any rank
-    raises, the world is aborted and the first exception is re-raised
-    wrapped in :class:`SpmdError`.  With ``return_world=True`` the world
-    (carrying transport statistics) is also returned.
+    fails, the world is aborted and the root cause is raised as
+    :class:`SpmdError` (see :func:`~repro.parallel.transport.run_ranks`).
 
-    ``transport`` selects the rank substrate: ``"thread"`` (default; the
-    deterministic in-process reference), ``"process"`` (one forked OS
-    process per rank — real parallelism), or a full
-    :class:`~repro.parallel.transport.SpmdConfig`.  ``None`` consults the
-    ``REPRO_SPMD_TRANSPORT`` environment variable.  ``nranks == 1``
-    always runs inline on the calling thread regardless of transport
-    (useful under profilers; also what the cost model assumes).
+    ``transport`` is ``"thread"`` (default, also for ``None``; the
+    deterministic in-process reference) or ``"process"`` (one forked OS
+    process per rank — real parallelism).  ``timeout`` bounds every
+    blocking wait.  ``nranks == 1`` always runs inline on the calling
+    thread regardless of transport (useful under profilers; also what
+    the cost model assumes).
     """
-    from .transport import resolve_transport, run_process_spmd
+    from .transport import TRANSPORTS, run_ranks
 
-    cfg = resolve_transport(transport)
-    if nranks > 1 and cfg.transport == "process":
-        return run_process_spmd(
-            cfg, nranks, fn, args, kwargs, timeout=timeout, return_world=return_world
+    if nranks < 1:
+        raise ValueError("world size must be >= 1")
+    name = transport or "thread"
+    if name not in TRANSPORTS:
+        raise ValueError(
+            f"unknown SPMD transport {name!r} (expected one of {tuple(TRANSPORTS)})"
         )
-    if cfg.timeout is not None:
-        timeout = cfg.timeout
-
-    world = World(nranks, timeout=timeout)
-    results: list[Any] = [None] * nranks
-    errors: list[tuple[int, BaseException]] = []
-    lock = threading.Lock()
-
-    def runner(rank: int) -> None:
-        comm = Communicator(world, rank)
-        try:
-            results[rank] = fn(comm, *args, **kwargs)
-        except BaseException as exc:  # repro: noqa[RPR006] - collected and
-            # re-raised by spmd() as SpmdError after the world aborts
-            with lock:
-                errors.append((rank, exc))
-            world.fail(rank, exc)
-
-    if nranks == 1:
-        # Fast path: no threads, direct call (useful under profilers).
-        runner(0)
-    else:
-        threads = [
-            threading.Thread(target=runner, args=(r,), name=f"spmd-rank-{r}", daemon=True)
-            for r in range(nranks)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=timeout * 4)
-            if t.is_alive():
-                world.abort.set()
-                world.barrier_obj.abort()
-                raise SpmdError(f"rank thread {t.name} failed to terminate")
-
-    if errors:
-        rank, exc = errors[0]
-        raise SpmdError(f"rank {rank} raised {type(exc).__name__}: {exc}") from exc
-    if return_world:
-        return results, world
-    return results
+    return run_ranks(TRANSPORTS[name], nranks, fn, args, kwargs, timeout)

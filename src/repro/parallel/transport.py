@@ -1,41 +1,39 @@
-"""Pluggable SPMD transports: thread reference vs. process-backed ranks.
+"""SPMD transports: one rank body, two ways to run it.
 
-:mod:`repro.parallel.communicator` defines the mpi4py-flavoured
-:class:`~repro.parallel.communicator.Communicator` against a narrow
-*world* interface (``deliver`` / ``poll`` / ``barrier_wait`` /
-``aborted``).  This module provides the second implementation of that
-interface: a **process transport** that runs one OS process per rank, so
-rank programs execute with real parallelism instead of GIL time-slicing.
+:func:`~repro.parallel.communicator.run_spmd` runs every rank program
+the same way — one :class:`_RankWorld`, one rank entry
+(:func:`_rank_main`) and one collector (:func:`run_ranks`).  Only the
+:class:`Transport` table underneath differs:
 
-The thread transport (:class:`~repro.parallel.communicator.World`)
-remains the deterministic reference — both transports move *logically
-identical* message payloads, so a rank program produces bit-for-bit the
-same results on either (property-tested in
-``tests/test_parallel_transport.py``).
+* ``THREAD`` — one OS thread per rank over ``queue``/``threading``
+  primitives.  Messages are copied (``_isolate``) so ranks cannot share
+  mutable state; results come back uncopied.  The deterministic
+  reference.
+* ``PROCESS`` — one forked OS process per rank over ``multiprocessing``
+  primitives, for real multi-core parallelism.  Any NumPy array of at
+  least :data:`SHM_THRESHOLD` bytes crosses in a
+  :class:`~repro.exec.sharedmem.SharedParticleStore` segment and only
+  its picklable spec rides the queue; the receiver adopts (attaches and
+  frees) the segment.  Senders register every segment name on a cleanup
+  queue, so the parent reaps whatever a crashed receiver never adopted.
 
-Transport of bulk data rides the ``repro.exec`` shared-memory substrate:
-any NumPy array at or above ``SpmdConfig.shm_threshold`` bytes is placed
-in a :class:`~repro.exec.sharedmem.SharedParticleStore` segment and only
-the tiny picklable spec crosses the queue — the receiving rank adopts
-the segments, materialises the arrays, and frees them.  Senders register
-every segment name on a cleanup queue so the parent can reap anything a
-crashed receiver never adopted (no leaked segments on any failure path).
-
-Ranks are forked (``start_method="fork"``), which lets rank programs be
-closures over parent arrays exactly like the thread transport — the
-in-situ FOF driver passes a closure and needs no changes to switch
-transports.  ``TraceContext`` is shipped to each rank; rank-local
-telemetry snapshots come back with the results and are merged into the
-parent trace (one-trace-per-run invariant), labelled ``spmd-rank-N``.
+Both move logically identical payloads, so a rank program produces
+bit-for-bit the same results on either (property-tested in
+``tests/test_parallel_transport.py``).  Forked ranks may be closures
+over parent arrays exactly like thread ranks.  They install a fresh
+copy of the parent's fault plan and a local telemetry recorder, whose
+snapshot comes back with the result and is merged into the parent trace
+(one trace per run), labelled ``spmd-rank-N``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue
+import threading
 import traceback
 from dataclasses import dataclass
+from multiprocessing import resource_tracker
 from typing import Any, Callable
 
 import numpy as np
@@ -44,88 +42,97 @@ from ..exec.sharedmem import SharedParticleStore, _attach_segment
 from ..faults import FaultPlan, get_fault_plan, set_fault_plan
 from ..obs import TelemetryRecorder, get_recorder, set_recorder
 from ..obs.context import export_snapshot, merge_snapshot
+from .communicator import ANY_SOURCE, ANY_TAG, Communicator, SpmdError, _isolate, _walk
 
-__all__ = ["ProcessWorld", "SpmdConfig", "resolve_transport"]
+__all__ = ["PROCESS", "THREAD", "TRANSPORTS", "RemoteRankError", "Transport", "run_ranks"]
 
-#: Environment variable selecting the default transport for ``run_spmd``.
-TRANSPORT_ENV = "REPRO_SPMD_TRANSPORT"
+#: NumPy payloads of at least this many bytes cross process ranks in
+#: shared memory instead of the pickled queue message.
+SHM_THRESHOLD = 65536
 
-_VALID_TRANSPORTS = ("thread", "process")
-
-#: Poll step used for bounded queue waits (seconds, accumulated — no
-#: wall-clock reads in this module per RPR003).
+#: Poll step of the collector's bounded result waits (seconds, accumulated
+#: — no wall-clock reads in this module per RPR003).
 _POLL_STEP = 0.25
 
 
 @dataclass(frozen=True)
-class SpmdConfig:
-    """Transport selection + tuning knobs for :func:`run_spmd`.
+class Transport:
+    """How ranks run, and what happens to what crosses between them."""
 
-    Parameters
-    ----------
-    transport:
-        ``"thread"`` (deterministic in-process reference) or
-        ``"process"`` (one forked OS process per rank).
-    timeout:
-        Per-wait deadlock timeout in seconds; ``None`` inherits the
-        ``run_spmd(timeout=...)`` argument.
-    shm_threshold:
-        NumPy payloads of at least this many bytes bypass pickling and
-        ride shared-memory segments (process transport only).
-    start_method:
-        Multiprocessing start method.  Only ``"fork"`` supports the
-        closure-style rank programs used throughout the repo.
-    """
-
-    transport: str = "thread"
-    timeout: float | None = None
-    shm_threshold: int = 65536
-    start_method: str = "fork"
-
-    def __post_init__(self) -> None:
-        if self.transport not in _VALID_TRANSPORTS:
-            raise ValueError(
-                f"unknown SPMD transport {self.transport!r} "
-                f"(expected one of {_VALID_TRANSPORTS})"
-            )
+    name: str
+    #: factories for the shared primitives of one run
+    queue: Callable[[], Any]
+    barrier: Callable[[int], Any]
+    event: Callable[[], Any]
+    value: Callable[[], Any]
+    #: ``launch(target, args, name)`` starts one rank and returns a handle
+    #: with ``is_alive``/``join``/``terminate``/``exitcode``
+    launch: Callable[[Callable[..., None], tuple[Any, ...], str], Any]
+    #: message codec: ``encode(obj, cleanup_q)`` on the sender, ``decode``
+    #: on the receiver
+    encode: Callable[[Any, Any], Any]
+    decode: Callable[[Any], Any]
+    #: result codec over a rank's ``(status, value)`` outcome
+    encode_result: Callable[[tuple[str, Any], Any], Any]
+    decode_result: Callable[[Any], tuple[str, Any]]
+    #: ranks have their own address space: they need their own fault plan
+    #: and telemetry recorder
+    forks: bool
 
 
-def resolve_transport(spec: "str | SpmdConfig | None") -> SpmdConfig:
-    """Normalise a ``transport=`` argument into an :class:`SpmdConfig`.
-
-    ``None`` consults the ``REPRO_SPMD_TRANSPORT`` environment variable
-    (default ``"thread"``), so whole test suites can be re-run over the
-    process transport without touching call sites.
-    """
-    if isinstance(spec, SpmdConfig):
-        return spec
-    if spec is None:
-        spec = os.environ.get(TRANSPORT_ENV, "").strip().lower() or "thread"
-    return SpmdConfig(transport=spec)
+# -- thread transport ----------------------------------------------------------
 
 
-class ProcessWorld:
-    """Parent-side summary of one process-transport execution.
+class _SharedInt:
+    """Thread twin of ``multiprocessing.Value("l")``."""
 
-    Mirrors the statistics surface of the thread
-    :class:`~repro.parallel.communicator.World` (``messages_sent`` /
-    ``bytes_sent``, summed over all ranks) for ``return_world=True``
-    callers; it carries no live transport state.
-    """
+    def __init__(self, value: int) -> None:
+        self.value = value
+        self._lock = threading.Lock()
 
-    def __init__(self, size: int, timeout: float) -> None:
-        self.size = size
-        self.timeout = timeout
-        self.messages_sent = 0
-        self.bytes_sent = 0
+    def get_lock(self) -> threading.Lock:
+        return self._lock
 
 
-# -- payload codec -------------------------------------------------------------
+class _RankThread(threading.Thread):
+    """A thread rank, with the process-handle members the collector uses."""
+
+    exitcode = None
+
+    def terminate(self) -> None:
+        """Threads cannot be killed; a stuck one is left behind as a daemon."""
+
+
+def _start(handle: Any) -> Any:
+    handle.start()
+    return handle
+
+
+THREAD = Transport(
+    name="thread",
+    queue=queue.Queue,
+    barrier=threading.Barrier,
+    event=threading.Event,
+    value=lambda: _SharedInt(-1),
+    launch=lambda target, args, name: _start(
+        _RankThread(target=target, args=args, name=name, daemon=True)
+    ),
+    encode=lambda obj, cleanup_q: _isolate(obj),
+    decode=lambda wire: wire,
+    encode_result=lambda outcome, cleanup_q: outcome,
+    decode_result=lambda shipped: shipped,
+    forks=False,
+)
+
+
+# -- process transport ---------------------------------------------------------
 #
 # Messages are pickled by the mp.Queue *except* bulk arrays: those are
 # copied once into shared-memory segments by the sender and adopted
 # (attach + unlink) by the receiver.  Only the segment spec rides the
 # queue, so serialisation cost is O(structure), not O(data).
+
+_FORK = multiprocessing.get_context("fork")
 
 
 class _ShmSlot:
@@ -137,28 +144,18 @@ class _ShmSlot:
         self.key = key
 
 
-def _encode_payload(obj: Any, threshold: int, cleanup_q: Any) -> tuple[Any, ...]:
+def _encode_shm(obj: Any, cleanup_q: Any) -> tuple[Any, ...]:
     """Encode ``obj`` for a queue hop, hoisting big arrays into shm."""
     arrays: dict[str, np.ndarray] = {}
 
     def hoist(x: Any) -> Any:
-        if (
-            isinstance(x, np.ndarray)
-            and not x.dtype.hasobject
-            and x.nbytes >= threshold
-        ):
+        if isinstance(x, np.ndarray) and not x.dtype.hasobject and x.nbytes >= SHM_THRESHOLD:
             key = f"a{len(arrays)}"
             arrays[key] = x
             return _ShmSlot(key)
-        if isinstance(x, tuple):
-            return tuple(hoist(v) for v in x)
-        if isinstance(x, list):
-            return [hoist(v) for v in x]
-        if isinstance(x, dict):
-            return {k: hoist(v) for k, v in x.items()}
         return x
 
-    template = hoist(obj)
+    template = _walk(obj, hoist)
     if not arrays:
         return ("pickle", obj)
     store = SharedParticleStore.create(**arrays)
@@ -175,29 +172,57 @@ def _encode_payload(obj: Any, threshold: int, cleanup_q: Any) -> tuple[Any, ...]
     return ("shm", template, spec)
 
 
-def _decode_payload(msg: tuple[Any, ...]) -> Any:
-    """Reverse :func:`_encode_payload`; adopts and frees shm segments."""
-    if msg[0] == "pickle":
-        return msg[1]
-    _, template, spec = msg
+def _decode_shm(wire: tuple[Any, ...]) -> Any:
+    """Reverse :func:`_encode_shm`; adopts and frees shm segments."""
+    if wire[0] == "pickle":
+        return wire[1]
+    _, template, spec = wire
     store = SharedParticleStore.attach(spec, adopt=True)
     try:
         arrays = {key: np.array(store.array(key), copy=True) for key in store.fields}
     finally:
         store.unlink()
+    return _walk(template, lambda x: arrays[x.key] if isinstance(x, _ShmSlot) else x)
 
-    def fill(x: Any) -> Any:
-        if isinstance(x, _ShmSlot):
-            return arrays[x.key]
-        if isinstance(x, tuple):
-            return tuple(fill(v) for v in x)
-        if isinstance(x, list):
-            return [fill(v) for v in x]
-        if isinstance(x, dict):
-            return {k: fill(v) for k, v in x.items()}
-        return x
 
-    return fill(template)
+def _ship_outcome(outcome: tuple[str, Any], cleanup_q: Any) -> tuple[str, Any]:
+    """Results ride the shm codec; a failure ships as its formatted traceback."""
+    status, value = outcome
+    if status == "ok":
+        return status, _encode_shm(value, cleanup_q)
+    summary, exc = value
+    return status, (summary, "".join(traceback.format_exception(exc)))
+
+
+def _land_outcome(shipped: tuple[str, Any]) -> tuple[str, Any]:
+    status, value = shipped
+    return (status, _decode_shm(value)) if status == "ok" else shipped
+
+
+def _fork_rank(target: Callable[..., None], args: tuple[Any, ...], name: str) -> Any:
+    # Start the shared-memory resource tracker *before* forking: ranks
+    # must inherit the parent's tracker, or each rank lazily starts its
+    # own, which unlinks that rank's in-flight message segments the
+    # moment the rank exits — racing the receivers that adopt them.
+    resource_tracker.ensure_running()
+    return _start(_FORK.Process(target=target, args=args, name=name, daemon=True))
+
+
+PROCESS = Transport(
+    name="process",
+    queue=_FORK.Queue,
+    barrier=_FORK.Barrier,
+    event=_FORK.Event,
+    value=lambda: _FORK.Value("l", -1),
+    launch=_fork_rank,
+    encode=_encode_shm,
+    decode=_decode_shm,
+    encode_result=_ship_outcome,
+    decode_result=_land_outcome,
+    forks=True,
+)
+
+TRANSPORTS = {t.name: t for t in (THREAD, PROCESS)}
 
 
 def _reap_segments(cleanup_q: Any) -> int:
@@ -222,343 +247,248 @@ def _reap_segments(cleanup_q: Any) -> int:
     return reaped
 
 
-# -- rank side -----------------------------------------------------------------
+# -- one world, one rank entry, one collector ----------------------------------
 
 
-class _ProcessRankWorld:
-    """Rank-local world over fork-inherited queues (one per rank).
+class _RankWorld:
+    """The shared state of one SPMD run, seen alike by ranks and collector.
 
-    Implements the narrow transport interface the
-    :class:`~repro.parallel.communicator.Communicator` consumes:
-    ``deliver`` / ``poll`` / ``barrier_wait`` / ``aborted`` / ``record``.
-    Statistics are counted locally and shipped back with the rank result;
-    the parent sums them into the :class:`ProcessWorld`.
+    Implements the narrow interface the
+    :class:`~repro.parallel.communicator.Communicator` is written against
+    (``deliver`` / ``poll`` / ``barrier_wait`` / ``aborted``).  Thread
+    ranks share the one instance; forked ranks inherit a copy whose
+    primitives are process-shared.
     """
 
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        inboxes: list[Any],
-        cleanup_q: Any,
-        barrier: Any,
-        abort: Any,
-        failed_rank: Any,
-        timeout: float,
-        shm_threshold: int,
-    ) -> None:
-        self.rank = rank
+    def __init__(self, transport: Transport, size: int, timeout: float) -> None:
+        self.transport = transport
         self.size = size
         self.timeout = timeout
-        self._inboxes = inboxes
-        self._cleanup_q = cleanup_q
-        self._barrier = barrier
-        self._abort = abort
-        self._failed_rank = failed_rank
-        self._shm_threshold = shm_threshold
-        self._pending: list[tuple[int, int, Any]] = []
-        self.messages_sent = 0
-        self.bytes_sent = 0
-
-    # Communicator-facing interface -------------------------------------
+        self.inboxes = [transport.queue() for _ in range(size)]
+        self.results = transport.queue()
+        self.cleanup_q = transport.queue()
+        self.barrier = transport.barrier(size)
+        self.abort = transport.event()
+        self.failed_rank = transport.value()
+        # messages received but not yet matched, per rank (each rank only
+        # ever touches its own list)
+        self._pending: list[list[tuple[int, int, Any]]] = [[] for _ in range(size)]
 
     def aborted(self) -> str | None:
-        if not self._abort.is_set():
+        """Abort reason if the world is dead, else ``None``."""
+        if not self.abort.is_set():
             return None
-        rank = int(self._failed_rank.value)
-        if rank >= 0:
-            return f"world aborted (rank {rank} failed)"
-        return "world aborted"
+        rank = int(self.failed_rank.value)
+        return f"world aborted (rank {rank} failed)" if rank >= 0 else "world aborted"
 
-    def record(self, payload: Any) -> None:
-        from .communicator import _payload_bytes
-
-        self.messages_sent += 1
-        self.bytes_sent += _payload_bytes(payload)
+    def fail(self, rank: int | None) -> None:
+        """Mark the world dead (because of ``rank``, when known) and wake every rank."""
+        if rank is not None:
+            with self.failed_rank.get_lock():
+                if self.failed_rank.value < 0:
+                    self.failed_rank.value = rank
+        self.abort.set()
+        self.barrier.abort()
 
     def deliver(self, dest: int, source: int, tag: int, obj: Any) -> None:
-        # logical (pre-encoding) bytes, matching the thread transport
-        self.record(obj)
-        enc = _encode_payload(obj, self._shm_threshold, self._cleanup_q)
-        self._inboxes[dest].put((source, tag, enc))
+        self.inboxes[dest].put((source, tag, self.transport.encode(obj, self.cleanup_q)))
 
     def poll(self, rank: int, source: int, tag: int, step: float) -> Any:
-        from .communicator import ANY_SOURCE, ANY_TAG, SpmdError
+        """One bounded matching attempt on ``rank``'s inbox."""
 
         def matches(src: int, tg: int) -> bool:
-            return (source in (ANY_SOURCE, src)) and (tag in (ANY_TAG, tg))
+            return source in (ANY_SOURCE, src) and tag in (ANY_TAG, tg)
 
-        for i, (src, tg, payload) in enumerate(self._pending):
+        pending = self._pending[rank]
+        for i, (src, tg, _) in enumerate(pending):
             if matches(src, tg):
-                return self._pending.pop(i)[2]
+                return pending.pop(i)[2]
         while True:
             try:
-                src, tg, enc = self._inboxes[rank].get(timeout=step)
+                src, tg, wire = self.inboxes[rank].get(timeout=step)
             except queue.Empty:
                 raise SpmdError(
                     f"recv(source={source}, tag={tag}) timed out after {step}s "
                     "— likely SPMD deadlock"
                 ) from None
-            payload = _decode_payload(enc)
+            # decode at receipt, so shm segments are adopted promptly
+            payload = self.transport.decode(wire)
             if matches(src, tg):
                 return payload
-            self._pending.append((src, tg, payload))
+            pending.append((src, tg, payload))
 
     def barrier_wait(self) -> None:
-        import threading
-
-        from .communicator import SpmdError
-
+        """Enter the world barrier; name the culprit if it breaks."""
         try:
-            self._barrier.wait(self.timeout)
+            self.barrier.wait(self.timeout)
         except threading.BrokenBarrierError:
-            rank = int(self._failed_rank.value)
-            if rank >= 0:
-                raise SpmdError(
-                    f"barrier broken: rank {rank} died or raised "
-                    "(see the SpmdError chained from run_spmd)"
-                ) from None
-            raise SpmdError(
-                f"barrier broken (a rank died or timed out after {self.timeout}s)"
-            ) from None
+            reason = self.aborted() or f"a rank timed out after {self.timeout}s"
+            raise SpmdError(f"barrier broken: {reason}") from None
 
 
-def _process_rank_main(
+def _rank_main(
+    world: _RankWorld,
     rank: int,
-    size: int,
     fn: Callable[..., Any],
-    fn_args: tuple[Any, ...],
-    fn_kwargs: dict[str, Any],
-    inboxes: list[Any],
-    result_q: Any,
-    cleanup_q: Any,
-    barrier: Any,
-    abort: Any,
-    failed_rank: Any,
-    timeout: float,
-    shm_threshold: int,
+    args: tuple[Any, ...],
+    kwargs: dict[str, Any],
     trace: dict[str, Any] | None,
-    plan_dict: dict[str, Any] | None,
+    plan: dict[str, Any] | None,
 ) -> None:
-    """Entry point of one forked SPMD rank."""
-    from .communicator import Communicator
-
-    if plan_dict is not None:
+    """Run one rank of ``fn`` and report its outcome on ``world.results``."""
+    if plan is not None:
         # forked ranks inherit the parent's fault-plan *history*; install
         # a fresh copy so per-rank attempt state is deterministic
-        set_fault_plan(FaultPlan.from_dict(plan_dict))
+        set_fault_plan(FaultPlan.from_dict(plan))
     local_rec: TelemetryRecorder | None = None
     if trace is not None:
         # record rank-local telemetry and ship one snapshot back with the
         # result, so the parent's single trace covers this process too
         local_rec = TelemetryRecorder(run_id=trace.get("run"), capacity=4096)
         set_recorder(local_rec)
-    world = _ProcessRankWorld(
-        rank, size, inboxes, cleanup_q, barrier, abort, failed_rank,
-        timeout, shm_threshold,
-    )
-    comm = Communicator(world, rank)
+    outcome: tuple[str, Any]
     try:
-        result = fn(comm, *fn_args, **fn_kwargs)
-        payload = _encode_payload(result, shm_threshold, cleanup_q)
-        status = "ok"
-    except BaseException as exc:  # repro: noqa[RPR006] - the traceback is
-        # shipped to the parent over result_q, which re-raises it as a
-        # chained SpmdError: the failure is loudly observable, never
-        # swallowed.
-        with failed_rank.get_lock():
-            if failed_rank.value < 0:
-                failed_rank.value = rank
-        abort.set()
-        try:
-            barrier.abort()
-        except (OSError, ValueError):  # pragma: no cover - barrier torn down
-            pass
-        status = "error"
-        payload = (type(exc).__name__, str(exc), traceback.format_exc())
+        outcome = ("ok", fn(Communicator(world, rank), *args, **kwargs))
+    except BaseException as exc:  # repro: noqa[RPR006] - reported to the
+        # collector, which re-raises it as a chained SpmdError: the failure
+        # is loudly observable, never swallowed.
+        world.fail(rank)
+        outcome = ("error", (f"{type(exc).__name__}: {exc}", exc))
     snap = export_snapshot(local_rec) if local_rec is not None else None
-    result_q.put((rank, status, payload, (world.messages_sent, world.bytes_sent), snap))
-
-
-# -- parent side ---------------------------------------------------------------
+    world.results.put((rank, world.transport.encode_result(outcome, world.cleanup_q), snap))
 
 
 class RemoteRankError(RuntimeError):
     """Carries the formatted traceback of a failed SPMD rank process."""
 
     def __init__(self, rank: int, formatted_traceback: str) -> None:
-        super().__init__(
-            f"rank {rank} traceback:\n{formatted_traceback}"
-        )
+        super().__init__(f"rank {rank} traceback:\n{formatted_traceback}")
         self.rank = rank
         self.formatted_traceback = formatted_traceback
 
 
-def run_process_spmd(
-    cfg: SpmdConfig,
+def run_ranks(
+    transport: Transport,
     nranks: int,
     fn: Callable[..., Any],
-    fn_args: tuple[Any, ...],
-    fn_kwargs: dict[str, Any],
+    args: tuple[Any, ...],
+    kwargs: dict[str, Any],
     timeout: float,
-    return_world: bool,
-) -> "list[Any] | tuple[list[Any], ProcessWorld]":
-    """Execute ``fn(comm, ...)`` on ``nranks`` forked processes.
+) -> list[Any]:
+    """Run ``fn(comm, *args, **kwargs)`` on ``nranks`` ranks; results in rank order.
 
-    Mirrors the thread path of
-    :func:`~repro.parallel.communicator.run_spmd`: per-rank results in
-    rank order, first rank failure re-raised as ``SpmdError`` (chaining a
-    :class:`RemoteRankError` with the remote traceback), world statistics
-    summed for ``return_world=True``.
+    One rank runs inline on the calling thread, whatever the transport.
+    The root cause of a failure is raised as :class:`SpmdError`: a rank
+    that died without reporting, else the first rank that raised
+    (chaining its exception, or a :class:`RemoteRankError` carrying the
+    remote traceback), else the ranks that did not finish in
+    ``4 * timeout`` seconds.  A dead or failed rank aborts the world at
+    once, so its peers stop waiting at the barrier.
     """
-    from .communicator import SpmdError
-
-    if cfg.timeout is not None:
-        timeout = cfg.timeout
-    try:
-        ctx = multiprocessing.get_context(cfg.start_method)
-    except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-        raise SpmdError(
-            f"process transport requires the {cfg.start_method!r} start method "
-            "(rank programs are closures); use transport='thread' instead"
-        ) from exc
-
-    # Start the shared-memory resource tracker *before* forking: ranks
-    # must inherit the parent's tracker, or each rank lazily starts its
-    # own, which unlinks that rank's in-flight message segments the
-    # moment the rank exits — racing the receivers that adopt them.
-    from multiprocessing import resource_tracker
-
-    ensure_running = getattr(resource_tracker, "ensure_running", None)
-    if ensure_running is not None:
-        ensure_running()
-
-    inboxes = [ctx.Queue() for _ in range(nranks)]
-    result_q = ctx.Queue()
-    cleanup_q = ctx.Queue()
-    barrier = ctx.Barrier(nranks)
-    abort = ctx.Event()
-    failed_rank = ctx.Value("l", -1)
-
+    if nranks == 1:
+        transport = THREAD
+    world = _RankWorld(transport, nranks, timeout)
     rec = get_recorder()
-    ctx_trace = rec.trace_context()
-    trace_dict = ctx_trace.to_dict() if ctx_trace is not None else None
-    active_plan = get_fault_plan()
-    plan_dict = active_plan.to_dict() if active_plan is not None else None
+    trace: dict[str, Any] | None = None
+    plan: dict[str, Any] | None = None
+    if transport.forks:
+        ctx_trace = rec.trace_context()
+        trace = ctx_trace.to_dict() if ctx_trace is not None else None
+        active_plan = get_fault_plan()
+        plan = active_plan.to_dict() if active_plan is not None else None
 
-    procs = [
-        ctx.Process(
-            target=_process_rank_main,
-            args=(
-                r, nranks, fn, fn_args, fn_kwargs, inboxes, result_q, cleanup_q,
-                barrier, abort, failed_rank, timeout, cfg.shm_threshold,
-                trace_dict, plan_dict,
-            ),
-            name=f"spmd-rank-{r}",
-            daemon=True,
-        )
-        for r in range(nranks)
-    ]
-
-    got: dict[int, tuple[Any, ...]] = {}
+    got: dict[int, tuple[str, Any]] = {}
+    snaps: dict[int, Any] = {}
     dead: dict[int, int] = {}
     timed_out = False
 
-    def absorb(msg: tuple[Any, ...]) -> None:
-        # decode at receipt time, while the payload's segments are still
-        # guaranteed un-reaped; error payloads are plain tuples
-        rank_, status_, payload_, stats_, snap_ = msg
-        if status_ == "ok":
-            payload_ = _decode_payload(payload_)
-        got[rank_] = (rank_, status_, payload_, stats_, snap_)
-        dead.pop(rank_, None)
-        if status_ == "error":
-            abort.set()
+    def absorb(block: bool) -> bool:
+        """Take one rank's result off the queue; ``False`` if none came."""
+        try:
+            rank, shipped, snap = world.results.get(block, _POLL_STEP)
+        except queue.Empty:
+            return False
+        # decode at receipt, while the result's segments are un-reaped
+        got[rank] = transport.decode_result(shipped)
+        snaps[rank] = snap
+        dead.pop(rank, None)
+        if got[rank][0] == "error":
+            world.fail(rank)
+        return True
 
+    handles: list[Any] = []
     try:
-        for p in procs:
-            p.start()
+        if nranks == 1:
+            _rank_main(world, 0, fn, args, kwargs, trace, plan)
+        else:
+            handles = [
+                transport.launch(
+                    _rank_main, (world, r, fn, args, kwargs, trace, plan), f"spmd-rank-{r}"
+                )
+                for r in range(nranks)
+            ]
         waited = 0.0
-        budget = timeout * 4
         while len(got) + len(dead) < nranks:
-            try:
-                msg = result_q.get(timeout=_POLL_STEP)
-            except queue.Empty:
-                waited += _POLL_STEP
-                for r, p in enumerate(procs):
-                    if r not in got and r not in dead and not p.is_alive():
-                        dead[r] = p.exitcode if p.exitcode is not None else -1
-                        abort.set()
-                if waited >= budget:
-                    timed_out = True
-                    abort.set()
-                    break
-            else:
-                absorb(msg)
-    finally:
-        abort.set()
-        for p in procs:
-            p.join(timeout=5.0)
-        for p in procs:
-            if p.is_alive():  # pragma: no cover - stuck rank
-                p.terminate()
-                p.join(timeout=5.0)
-        # absorb results that raced the liveness check (a rank can exit
-        # between putting its result and the parent observing it)
-        while True:
-            try:
-                absorb(result_q.get_nowait())
-            except queue.Empty:
+            if absorb(block=True):
+                continue
+            waited += _POLL_STEP
+            gone = [r for r, h in enumerate(handles) if r not in got and not h.is_alive()]
+            while gone and absorb(block=False):
+                pass  # a rank may report just before it exits
+            for r in gone:
+                if r not in got and r not in dead:
+                    code = handles[r].exitcode
+                    dead[r] = code if code is not None else -1
+                    world.fail(r)
+            if waited >= 4 * timeout:
+                timed_out = True
                 break
+    finally:
+        world.fail(None)
+        for h in handles:
+            h.join(timeout=5.0)
+        for h in handles:
+            if h.is_alive():  # pragma: no cover - stuck rank
+                h.terminate()
+                h.join(timeout=5.0)
+        while absorb(block=False):
+            pass  # results that raced the liveness check
         # everything absorbed is adopted; whatever segment names remain
         # belong to messages nobody will ever read (crashed receivers)
-        reaped = _reap_segments(cleanup_q)
+        reaped = _reap_segments(world.cleanup_q)
         if reaped:
             rec.counter("spmd_segments_reaped_total").inc(reaped)
-        for q in (*inboxes, result_q, cleanup_q):
-            q.close()
 
-    world = ProcessWorld(nranks, timeout)
-    for r in sorted(got):
-        messages, nbytes = got[r][3]
-        world.messages_sent += int(messages)
-        world.bytes_sent += int(nbytes)
     # fold rank telemetry into the parent trace in rank order before any
     # raise, so failed runs are still fully observable
-    if trace_dict is not None and isinstance(rec, TelemetryRecorder):
-        for r in sorted(got):
-            if got[r][4] is not None:
+    if trace is not None and isinstance(rec, TelemetryRecorder):
+        for r in sorted(snaps):
+            if snaps[r] is not None:
                 merge_snapshot(
-                    rec,
-                    got[r][4],
-                    parent_span_id=trace_dict.get("span_id"),
-                    thread=f"spmd-rank-{r}",
+                    rec, snaps[r], parent_span_id=trace.get("span_id"), thread=f"spmd-rank-{r}"
                 )
 
-    errors = {r: got[r][2] for r in sorted(got) if got[r][1] == "error"}
     if dead:
         # a rank that died without reporting (hard crash) is always the
         # root cause — any recorded errors are its peers' broken barriers
-        rank, code = sorted(dead.items())[0]
+        rank, code = min(dead.items())
         raise SpmdError(
             f"rank {rank} died with exit code {code} before returning a result "
-            "(process transport)"
+            f"({transport.name} transport)"
         )
+    errors = {r: value for r, (status, value) in got.items() if status == "error"}
     if errors:
-        # prefer the root cause: failed_rank records the *first* rank to
-        # fail, whose abort then broke the barrier under its peers
-        first = int(failed_rank.value)
-        rank = first if first in errors else next(iter(errors))
-        etype, emsg, tb = errors[rank]
-        raise SpmdError(f"rank {rank} raised {etype}: {emsg}") from RemoteRankError(rank, tb)
+        # failed_rank records the *first* rank to fail, whose abort then
+        # broke the barrier under its peers
+        first = int(world.failed_rank.value)
+        rank = first if first in errors else min(errors)
+        summary, cause = errors[rank]
+        if isinstance(cause, str):
+            cause = RemoteRankError(rank, cause)
+        raise SpmdError(f"rank {rank} raised {summary}") from cause
     if timed_out:
         missing = sorted(set(range(nranks)) - set(got))
         raise SpmdError(
-            f"SPMD ranks {missing} failed to finish within {timeout * 4}s "
-            "— likely deadlock"
+            f"SPMD ranks {missing} failed to finish within {4 * timeout}s — likely deadlock"
         )
-
-    results = [got[r][2] for r in range(nranks)]
-    if return_world:
-        return results, world
-    return results
+    return [got[r][1] for r in range(nranks)]

@@ -19,11 +19,12 @@ evaluation:
   computed once and shared by the scatter (deposit) *and* the gather
   (force interpolation), through preallocated scratch buffers that are
   reused across steps.
-* **threaded transforms** — ``scipy.fft`` with ``workers=`` when scipy
-  is available (it is a hard dependency of the repo, but the numpy
-  fallback keeps the module importable without it).  pocketfft's
-  threading parallelizes over independent 1-D transform lines, so
-  results are bit-identical for any worker count.
+* **threaded transforms** — ``scipy.fft`` with ``workers=``.
+  pocketfft's threading parallelizes over independent 1-D transform
+  lines, so results are bit-identical for any worker count.  pocketfft
+  also shuts its thread pool down whenever the process forks, which
+  kills a transform running on another thread; every transform
+  therefore holds a module lock that each fork takes first.
 
 The old free functions (``cic_deposit`` / ``solve_poisson`` /
 ``gradient_spectral`` / ``cic_interpolate``) are kept in
@@ -38,16 +39,13 @@ it); timing goes through :func:`repro.obs.timed`, whose clock lives in
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
+from scipy import fft as _sp_fft
 
 from ..check.sanitize import guard_kernel
 from ..obs import get_recorder, timed
-
-try:  # scipy.fft supports multi-threaded transforms via workers=
-    from scipy import fft as _sp_fft
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _sp_fft = None  # type: ignore[assignment]
 
 __all__ = ["PMSolver", "get_solver", "clear_solver_cache", "resolve_fft_workers"]
 
@@ -73,16 +71,31 @@ def resolve_fft_workers(workers: int | None = None) -> int:
     return max(int(workers), 1)
 
 
+#: Held around every transform and taken before every fork, so no fork
+#: (from the listener, the in-situ pipeline, ...) lands mid-transform.
+_FFT_LOCK = threading.Lock()
+
+
+def _renew_fft_lock() -> None:
+    global _FFT_LOCK
+    _FFT_LOCK = threading.Lock()
+
+
+os.register_at_fork(
+    before=lambda: _FFT_LOCK.acquire(),
+    after_in_parent=lambda: _FFT_LOCK.release(),
+    after_in_child=_renew_fft_lock,
+)
+
+
 def _rfftn(x: np.ndarray, workers: int) -> np.ndarray:
-    if _sp_fft is not None:
+    with _FFT_LOCK:
         return _sp_fft.rfftn(x, workers=workers)
-    return np.fft.rfftn(x)
 
 
 def _irfftn(xk: np.ndarray, shape: tuple[int, ...], workers: int) -> np.ndarray:
-    if _sp_fft is not None:
+    with _FFT_LOCK:
         return _sp_fft.irfftn(xk, s=shape, workers=workers)
-    return np.fft.irfftn(xk, s=shape)
 
 
 class PMSolver:

@@ -11,9 +11,8 @@ is what bounds the boundary ring the finder must keep resident, and
 Two concrete sources present the same iterator:
 
 :class:`ArrayStream`
-    In-memory arrays (or a :class:`~repro.sim.particles.Particles`
-    snapshot), slab-sorted on construction — the shape the in-situ
-    preview tier uses.
+    In-memory arrays, slab-sorted on construction — the shape the
+    in-situ preview tier uses.
 
 :class:`GenericIOStream`
     An on-disk GenericIO file written by :func:`write_slab_snapshot`,
@@ -29,16 +28,13 @@ the guard fires before the chunk is consumed.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
 from ..faults import FaultInjected, RetryPolicy, maybe_inject, resolve_retry
 from ..io.genericio import GenericIOFile, write_genericio
 from ..obs import get_recorder
-
-if TYPE_CHECKING:
-    from ..sim.particles import Particles
 
 __all__ = [
     "ParticleStream",
@@ -126,18 +122,6 @@ class ArrayStream:
         self.box = float(box)
         self.chunk_rows = int(chunk_rows)
         self._retry = resolve_retry(retry)
-
-    @classmethod
-    def from_particles(
-        cls, particles: "Particles", chunk_rows: int = 65536
-    ) -> "ArrayStream":
-        """Stream view over a particle snapshot (tags narrowed to int64)."""
-        return cls(
-            particles.pos,
-            box=particles.box,
-            tags=np.asarray(particles.tag, dtype=np.int64),
-            chunk_rows=chunk_rows,
-        )
 
     @property
     def n_total(self) -> int | None:

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro import obs
 from repro.sim import HACCSimulation, SimulationConfig
+
+# Example counts for property tests that do not pin their own: "tier1" by
+# default, "full" in CI via ``pytest --hypothesis-profile=full``.
+settings.register_profile("tier1", max_examples=15)
+settings.register_profile("full", max_examples=60)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)

@@ -282,7 +282,7 @@ def _own_statements(func):
     return out
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)  # example count: the hypothesis profile (conftest.py)
 @given(_body)
 def test_property_every_statement_owns_a_block(body):
     func = _program(body)
@@ -291,7 +291,7 @@ def test_property_every_statement_owns_a_block(body):
         assert stmt in cfg.block_of
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)  # example count: the hypothesis profile (conftest.py)
 @given(_body)
 def test_property_edges_are_symmetric(body):
     cfg = build_cfg(_program(body))
@@ -302,7 +302,7 @@ def test_property_edges_are_symmetric(body):
             assert b.index in cfg.blocks[p].succs
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)  # example count: the hypothesis profile (conftest.py)
 @given(_body)
 def test_property_dominators_rooted_antisymmetric(body):
     cfg = build_cfg(_program(body))
@@ -318,7 +318,7 @@ def test_property_dominators_rooted_antisymmetric(body):
                 assert a not in doms[b]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)  # example count: the hypothesis profile (conftest.py)
 @given(_body)
 def test_property_paths_end_at_exit(body):
     cfg = build_cfg(_program(body))

@@ -1,8 +1,8 @@
 """Pluggable SPMD transports: thread/process equivalence and failure paths.
 
 The process transport must be observationally identical to the thread
-reference — same results bit-for-bit, same message statistics, same
-error contract — with the only difference being *where* ranks run.
+reference — same results bit-for-bit, same error contract — with the
+only difference being *where* ranks run.
 These tests pin that equivalence on the real communication patterns
 (redistribution, overload exchange, distributed FOF) and on the ugly
 paths (rank death mid-collective, timeouts, orphan/leak hygiene).
@@ -20,14 +20,13 @@ from hypothesis import strategies as st
 
 from repro.parallel import (
     CartesianDecomposition,
-    SpmdConfig,
     SpmdError,
     alltoallv_arrays,
     redistribute_arrays,
-    resolve_transport,
     run_spmd,
 )
-from repro.parallel.transport import TRANSPORT_ENV, RemoteRankError
+from repro.parallel import transport as spmd_transport
+from repro.parallel.transport import RemoteRankError
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -58,21 +57,9 @@ def _shm_segments():
 
 def test_spmd_config_validates_transport():
     with pytest.raises(ValueError, match="transport"):
-        SpmdConfig(transport="mpi")
-
-
-def test_resolve_transport_accepts_str_config_none():
-    assert resolve_transport("process").transport == "process"
-    cfg = SpmdConfig(transport="process", shm_threshold=1)
-    assert resolve_transport(cfg) is cfg
-    assert resolve_transport(None).transport == "thread"
-
-
-def test_resolve_transport_env_var(monkeypatch):
-    monkeypatch.setenv(TRANSPORT_ENV, "process")
-    assert resolve_transport(None).transport == "process"
-    monkeypatch.delenv(TRANSPORT_ENV)
-    assert resolve_transport(None).transport == "thread"
+        run_spmd(2, lambda comm: None, transport="mpi")
+    # None means threads: every rank runs in this process
+    assert run_spmd(2, lambda comm: os.getpid(), transport=None) == [os.getpid()] * 2
 
 
 def test_single_rank_is_inline_for_any_transport():
@@ -184,9 +171,9 @@ def test_parallel_fof_identical_across_transports():
             assert np.array_equal(t[k], p[k])
 
 
-def test_shm_payload_path_identical(tmp_path):
+def test_shm_payload_path_identical(monkeypatch):
     # force every array through the shared-memory codec
-    cfg = SpmdConfig(transport="process", shm_threshold=1)
+    monkeypatch.setattr(spmd_transport, "SHM_THRESHOLD", 1)
 
     def prog(comm):
         big = np.arange(50_000, dtype=np.float64) * (comm.rank + 1)
@@ -195,23 +182,10 @@ def test_shm_payload_path_identical(tmp_path):
 
     before = _shm_segments()
     thread = run_spmd(2, prog, transport="thread")
-    process = run_spmd(2, prog, transport=cfg)
+    process = run_spmd(2, prog, transport="process")
     assert thread == process
     assert _no_orphans()
     assert _shm_segments() == before
-
-
-def test_message_stats_match_thread_transport():
-    def prog(comm):
-        comm.send(np.ones(100), dest=(comm.rank + 1) % comm.size)
-        comm.recv(source=(comm.rank - 1) % comm.size)
-        comm.barrier()
-        return comm.rank
-
-    _, tworld = run_spmd(2, prog, transport="thread", return_world=True)
-    _, pworld = run_spmd(2, prog, transport="process", return_world=True)
-    assert pworld.messages_sent == tworld.messages_sent
-    assert pworld.bytes_sent == tworld.bytes_sent
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +229,11 @@ def test_process_rank_death_mid_collective_fails_cleanly():
         comm.barrier()
         return comm.rank
 
-    with pytest.raises(SpmdError, match=r"rank 1"):
+    # detected by the rank's exit, not by waiting out the barrier timeout
+    t0 = time.monotonic()
+    with pytest.raises(SpmdError, match=r"rank 1 died"):
         run_spmd(2, prog, transport="process", timeout=10.0)
+    assert time.monotonic() - t0 < 2.0
     assert _no_orphans()
     assert _shm_segments() == before
 

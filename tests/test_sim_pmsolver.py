@@ -7,6 +7,9 @@ physical and reproducibility contracts: determinism, momentum
 conservation, scratch non-aliasing, and telemetry accounting.
 """
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +224,40 @@ def test_worker_count_bit_identical(rng):
     a1 = PMSolver(ng, workers=1).accelerations(pos, 1.0)
     a4 = PMSolver(ng, workers=4).accelerations(pos, 1.0)
     np.testing.assert_array_equal(a1, a4)
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads alive
+def test_fork_from_side_thread_never_breaks_a_transform(rng):
+    # pocketfft shuts its thread pool down at fork: without the fork
+    # guard most of these force evaluations raise "Work item submitted
+    # after shutdown"
+    solver = PMSolver(32, workers=2)
+    pos = rng.uniform(0, 32, (4096, 3))
+    stop = threading.Event()
+    forks = []
+
+    def forker():
+        while not stop.is_set():
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0)
+            os.waitpid(pid, 0)
+            forks.append(pid)
+
+    side = threading.Thread(target=forker)
+    side.start()
+    calls = failures = 0
+    try:
+        while len(forks) < 50:
+            calls += 1
+            try:
+                solver.accelerations(pos, 1.0)
+            except RuntimeError:
+                failures += 1
+    finally:
+        stop.set()
+        side.join()
+    assert failures == 0, f"{failures}/{calls} force evaluations broken by a fork"
 
 
 # -- telemetry accounting ------------------------------------------------------
